@@ -1,16 +1,19 @@
 """The performance fast paths must never change a result.
 
-Five independent switches can alter how much work the reproduction
-does per figure — the wire encoding cache, StorM's decoded-scan cache,
-the agent-path source/compile caches (``REPRO_NO_AGENT_CACHE=1``), the
-compact wire codec (``REPRO_WIRE_CODEC=pickle``), and the parallel
-experiment runner.  Each exists purely to save wall-clock; these tests
-pin down that every observable output (figure series, bytes on the
-wire, packet counts, answer hop counts, buffer I/O statistics) is
-bit-identical whichever way the switches are thrown.
+Every observable output — figure series, bytes on the wire, packet
+counts, answer hop counts, fault and replication counters — is pinned
+by a recorded golden under ``tests/eval/goldens/``.  Each case below
+drives one workload under one runner or cache setting and compares it
+against that golden, so a fast path that drifts fails here instead of
+silently changing a figure.  Intentional changes regenerate the goldens
+with ``REPRO_REWRITE_VECTORS=1`` and say so in CHANGES.md.
 """
 
 from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -24,11 +27,34 @@ from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
 from repro.eval.experiment import ExperimentRunner, ParallelExperimentRunner
 from repro.eval.figures import FigureParams, figure_5a, figure_8a
+from repro.replication import ReplicationPolicy
 from repro.topology.builders import line, star
+
+GOLDENS_DIR = Path(__file__).parent / "goldens"
+REWRITE_ENV_VAR = "REPRO_REWRITE_VECTORS"
 
 #: Small enough to run every variant in seconds, big enough to exercise
 #: flooding, reconfiguration, StorM scans and multi-page heaps.
 TINY = FigureParams(objects_per_node=20, object_size=256, queries=2)
+
+
+def assert_golden(name: str, observed) -> None:
+    """``observed`` must equal the recorded ``goldens/<name>.json``.
+
+    Values are compared in their JSON form (tuples read back as lists).
+    With ``REPRO_REWRITE_VECTORS=1`` the golden is rewritten instead.
+    """
+    path = GOLDENS_DIR / f"{name}.json"
+    observed = json.loads(json.dumps(observed))
+    if os.environ.get(REWRITE_ENV_VAR):
+        GOLDENS_DIR.mkdir(exist_ok=True)
+        path.write_text(json.dumps(observed, indent=1, sort_keys=True) + "\n")
+        return
+    golden = json.loads(path.read_text())
+    assert observed == golden, (
+        f"{name} drifted from {path.name}; regenerate with "
+        f"{REWRITE_ENV_VAR}=1 only for an intentional change"
+    )
 
 
 def _run_figures():
@@ -37,74 +63,60 @@ def _run_figures():
     return fig5.series, fig8.series
 
 
-@pytest.fixture
-def fastpath_results():
-    """Figure series with every fast path at its default (enabled)."""
-    return _run_figures()
-
-
-def test_series_identical_with_caches_disabled(monkeypatch, fastpath_results):
+def test_series_identical_with_caches_disabled(monkeypatch):
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
     monkeypatch.setattr(store_module, "SCAN_CACHE_DEFAULT", False)
-    assert _run_figures() == fastpath_results
+    assert_golden("figures_tiny", _run_figures())
 
 
-def test_series_identical_with_bulk_load_disabled(monkeypatch, fastpath_results):
+def test_series_identical_with_bulk_load_disabled(monkeypatch):
     monkeypatch.setenv(store_module.BULK_LOAD_ENV_VAR, "1")
     template_module.clear_templates()
     try:
-        assert _run_figures() == fastpath_results
+        assert_golden("figures_tiny", _run_figures())
     finally:
         # Templates built on the per-record path are still bit-identical,
         # but drop them so later tests rebuild via the default path.
         template_module.clear_templates()
 
 
-def test_series_identical_with_templates_disabled(monkeypatch, fastpath_results):
+def test_series_identical_with_templates_disabled(monkeypatch):
     monkeypatch.setenv(template_module.TEMPLATE_ENV_VAR, "1")
-    assert _run_figures() == fastpath_results
+    assert_golden("figures_tiny", _run_figures())
 
 
-def test_series_identical_with_bulk_and_templates_disabled(
-    monkeypatch, fastpath_results
-):
+def test_series_identical_with_bulk_and_templates_disabled(monkeypatch):
     # Both fast paths off is exactly the pre-optimization per-record
     # population loop — the semantic reference.
     monkeypatch.setenv(store_module.BULK_LOAD_ENV_VAR, "1")
     monkeypatch.setenv(template_module.TEMPLATE_ENV_VAR, "1")
-    assert _run_figures() == fastpath_results
+    assert_golden("figures_tiny", _run_figures())
 
 
-def test_series_identical_with_templates_disabled_parallel(
-    monkeypatch, fastpath_results
-):
+def test_series_identical_with_templates_disabled_parallel(monkeypatch):
     # Worker processes inherit the environment switch.
     monkeypatch.setenv(template_module.TEMPLATE_ENV_VAR, "1")
     parallel = ParallelExperimentRunner(jobs=2)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
+    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
-def test_series_identical_with_bulk_load_disabled_parallel(
-    monkeypatch, fastpath_results
-):
+def test_series_identical_with_bulk_load_disabled_parallel(monkeypatch):
     monkeypatch.setenv(store_module.BULK_LOAD_ENV_VAR, "1")
     parallel = ParallelExperimentRunner(jobs=2)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
+    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
-def test_series_identical_with_agent_caches_disabled(monkeypatch, fastpath_results):
+def test_series_identical_with_agent_caches_disabled(monkeypatch):
     monkeypatch.setenv(codeship.NO_CACHE_ENV_VAR, "1")
     codeship.clear_caches()
-    assert _run_figures() == fastpath_results
+    assert_golden("figures_tiny", _run_figures())
 
 
-def test_series_identical_with_agent_caches_disabled_parallel(
-    monkeypatch, fastpath_results
-):
+def test_series_identical_with_agent_caches_disabled_parallel(monkeypatch):
     # Worker processes inherit the environment, so the bypass holds
     # under the multiprocessing runner too.
     monkeypatch.setenv(codeship.NO_CACHE_ENV_VAR, "1")
@@ -112,21 +124,21 @@ def test_series_identical_with_agent_caches_disabled_parallel(
     parallel = ParallelExperimentRunner(jobs=2)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
+    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
-def test_series_identical_under_parallel_runner(fastpath_results):
+def test_series_identical_under_parallel_runner():
     parallel = ParallelExperimentRunner(jobs=2)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
+    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
-def test_series_identical_under_serial_runner(fastpath_results):
+def test_series_identical_under_serial_runner():
     serial = ExperimentRunner()
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=serial)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=serial)
-    assert (fig5.series, fig8.series) == fastpath_results
+    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
 def _drive_deployment() -> tuple[list[int], list[tuple], int, int, int]:
@@ -164,43 +176,39 @@ def _drive_deployment() -> tuple[list[int], list[tuple], int, int, int]:
 
 
 def test_wire_bytes_identical_cache_on_vs_off(monkeypatch):
-    with_cache = _drive_deployment()
+    assert_golden("drive_deployment", _drive_deployment())
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
-    without_cache = _drive_deployment()
-    assert with_cache == without_cache
+    assert_golden("drive_deployment", _drive_deployment())
 
 
 def test_wire_bytes_and_hops_identical_agent_cache_on_vs_off(monkeypatch):
     codeship.clear_caches()
-    with_cache = _drive_deployment()
+    assert_golden("drive_deployment", _drive_deployment())
     monkeypatch.setenv(codeship.NO_CACHE_ENV_VAR, "1")
     codeship.clear_caches()
-    without_cache = _drive_deployment()
-    assert with_cache == without_cache
+    assert_golden("drive_deployment", _drive_deployment())
 
 
-def test_series_identical_under_pickle_wire_codec(monkeypatch, fastpath_results):
+def test_series_identical_under_pickle_wire_codec(monkeypatch):
     monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    assert _run_figures() == fastpath_results
+    assert_golden("figures_tiny", _run_figures())
 
 
-def test_series_identical_under_pickle_wire_codec_parallel(
-    monkeypatch, fastpath_results
-):
+def test_series_identical_under_pickle_wire_codec_parallel(monkeypatch):
     # The codec switch is read from the environment on every encode, so
     # the multiprocessing runner's workers inherit it like any other env.
     monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
     parallel = ParallelExperimentRunner(jobs=2)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
+    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
 def test_wire_bytes_and_hops_identical_compact_vs_pickle(monkeypatch):
     monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-    compact = _drive_deployment()
+    assert_golden("drive_deployment", _drive_deployment())
     monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    assert _drive_deployment() == compact
+    assert_golden("drive_deployment", _drive_deployment())
 
 
 def _flood_observables(node_count: int = 32) -> tuple:
@@ -236,9 +244,9 @@ def _flood_observables(node_count: int = 32) -> tuple:
 
 def test_32_node_flood_identical_compact_vs_pickle(monkeypatch):
     monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-    compact = _flood_observables()
+    assert_golden("flood_32", _flood_observables())
     monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    assert _flood_observables() == compact
+    assert_golden("flood_32", _flood_observables())
 
 
 # ---------------------------------------------------------------------------
@@ -246,45 +254,43 @@ def test_32_node_flood_identical_compact_vs_pickle(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_series_identical_under_pickle_data_codec(monkeypatch, fastpath_results):
+def test_series_identical_under_pickle_data_codec(monkeypatch):
     monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    assert _run_figures() == fastpath_results
+    assert_golden("figures_tiny", _run_figures())
 
 
-def test_series_identical_under_pickle_data_codec_parallel(
-    monkeypatch, fastpath_results
-):
+def test_series_identical_under_pickle_data_codec_parallel(monkeypatch):
     # Read from the environment on every encode, so the multiprocessing
     # runner's workers inherit the switch like any other env var.
     monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
     parallel = ParallelExperimentRunner(jobs=2)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
+    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
 def test_wire_bytes_and_hops_identical_stream_vs_pickle(monkeypatch):
     monkeypatch.delenv(WIRE_DATA_ENV_VAR, raising=False)
-    stream = _drive_deployment()
+    assert_golden("drive_deployment", _drive_deployment())
     monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    assert _drive_deployment() == stream
+    assert_golden("drive_deployment", _drive_deployment())
 
 
 def test_32_node_flood_identical_stream_vs_pickle(monkeypatch):
     monkeypatch.delenv(WIRE_DATA_ENV_VAR, raising=False)
-    stream = _flood_observables()
+    assert_golden("flood_32", _flood_observables())
     monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    assert _flood_observables() == stream
+    assert_golden("flood_32", _flood_observables())
 
 
 def test_32_node_flood_identical_with_both_planes_on_pickle(monkeypatch):
     # Both fallbacks together are the full pre-codec wire stack.
     monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
     monkeypatch.delenv(WIRE_DATA_ENV_VAR, raising=False)
-    fast = _flood_observables()
+    assert_golden("flood_32", _flood_observables())
     monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
     monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    assert _flood_observables() == fast
+    assert_golden("flood_32", _flood_observables())
 
 
 def _faulted_observables(runner) -> tuple:
@@ -318,9 +324,9 @@ def test_faulted_series_identical_serial_vs_parallel():
     # Fault injection must not break the fast-path contract: a nonzero
     # FaultPlan replays identically under the default, serial, and
     # parallel runners.
-    default = _faulted_observables(None)
-    assert _faulted_observables(ExperimentRunner()) == default
-    assert _faulted_observables(ParallelExperimentRunner(jobs=2)) == default
+    assert_golden("faulted", _faulted_observables(None))
+    assert_golden("faulted", _faulted_observables(ExperimentRunner()))
+    assert_golden("faulted", _faulted_observables(ParallelExperimentRunner(jobs=2)))
 
 
 def test_encoder_cache_actually_hits_during_flood():
@@ -348,19 +354,17 @@ def test_encoder_cache_actually_hits_during_flood():
 # ---------------------------------------------------------------------------
 
 
-def test_series_identical_under_legacy_routing(monkeypatch, fastpath_results):
+def test_series_identical_under_legacy_routing(monkeypatch):
     # "legacy" floods to every non-suspect peer in table order — the
     # pre-framework forwarding path.  For the paper strategies the
     # strategy-driven fan-out must be bit-identical to it.
     from repro.core.routing.base import ROUTING_ENV_VAR
 
     monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    assert _run_figures() == fastpath_results
+    assert_golden("figures_tiny", _run_figures())
 
 
-def test_series_identical_under_legacy_routing_parallel(
-    monkeypatch, fastpath_results
-):
+def test_series_identical_under_legacy_routing_parallel(monkeypatch):
     # Checked per call, so --jobs workers inherit the switch via env.
     from repro.core.routing.base import ROUTING_ENV_VAR
 
@@ -368,16 +372,16 @@ def test_series_identical_under_legacy_routing_parallel(
     parallel = ParallelExperimentRunner(jobs=2)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
+    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
 def test_wire_bytes_and_hops_identical_legacy_vs_strategy_routing(monkeypatch):
     from repro.core.routing.base import ROUTING_ENV_VAR
 
     monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
-    strategy_path = _drive_deployment()
+    assert_golden("drive_deployment", _drive_deployment())
     monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    assert _drive_deployment() == strategy_path
+    assert_golden("drive_deployment", _drive_deployment())
 
 
 def test_faulted_series_identical_under_legacy_routing(monkeypatch):
@@ -387,10 +391,10 @@ def test_faulted_series_identical_under_legacy_routing(monkeypatch):
     from repro.core.routing.base import ROUTING_ENV_VAR
 
     monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
-    default = _faulted_observables(None)
+    assert_golden("faulted", _faulted_observables(None))
     monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    assert _faulted_observables(None) == default
-    assert _faulted_observables(ParallelExperimentRunner(jobs=2)) == default
+    assert_golden("faulted", _faulted_observables(None))
+    assert_golden("faulted", _faulted_observables(ParallelExperimentRunner(jobs=2)))
 
 
 def _routing_observables(runner) -> tuple:
@@ -435,9 +439,11 @@ def test_new_strategies_self_identical_serial_vs_parallel():
     # history / superpeer / costaware under churn: the seeded timeline
     # (including hint publishes, hint queries and fallback floods) must
     # replay bit-identically whichever runner executes the sweep.
-    default = _routing_observables(None)
-    assert _routing_observables(ExperimentRunner()) == default
-    assert _routing_observables(ParallelExperimentRunner(jobs=2)) == default
+    assert_golden("routing_figure", _routing_observables(None))
+    assert_golden("routing_figure", _routing_observables(ExperimentRunner()))
+    assert_golden(
+        "routing_figure", _routing_observables(ParallelExperimentRunner(jobs=2))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +489,14 @@ def test_topk_off_bitidentical_to_k_none(monkeypatch):
     from repro.agents.topk import TOPK_ENV_VAR
 
     monkeypatch.delenv(TOPK_ENV_VAR, raising=False)
-    baseline = _topk_flood_observables(None)
+    assert_golden("topk_flood_k_none", _topk_flood_observables(None))
+    assert_golden("topk_flood_k4", _topk_flood_observables(4))
     monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    assert _topk_flood_observables(4) == baseline
-    assert _topk_flood_observables(None) == baseline
+    assert_golden("topk_flood_k_none", _topk_flood_observables(4))
+    assert_golden("topk_flood_k_none", _topk_flood_observables(None))
     # "on" with no configured k is equally invisible.
     monkeypatch.setenv(TOPK_ENV_VAR, "on")
-    assert _topk_flood_observables(None) == baseline
+    assert_golden("topk_flood_k_none", _topk_flood_observables(None))
 
 
 def test_legacy_workloads_unaffected_by_topk_env(monkeypatch):
@@ -497,22 +504,19 @@ def test_legacy_workloads_unaffected_by_topk_env(monkeypatch):
     # deployments stay bit-identical whichever way the switch is set.
     from repro.agents.topk import TOPK_ENV_VAR
 
-    monkeypatch.delenv(TOPK_ENV_VAR, raising=False)
-    drive, flood = _drive_deployment(), _flood_observables()
     monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    assert (_drive_deployment(), _flood_observables()) == (drive, flood)
+    assert_golden("drive_deployment", _drive_deployment())
+    assert_golden("flood_32", _flood_observables())
 
 
-def test_series_identical_under_topk_bypass(monkeypatch, fastpath_results):
+def test_series_identical_under_topk_bypass(monkeypatch):
     from repro.agents.topk import TOPK_ENV_VAR
 
     monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    assert _run_figures() == fastpath_results
+    assert_golden("figures_tiny", _run_figures())
 
 
-def test_series_identical_under_topk_bypass_parallel(
-    monkeypatch, fastpath_results
-):
+def test_series_identical_under_topk_bypass_parallel(monkeypatch):
     # Checked per call, so --jobs workers inherit the switch via env.
     from repro.agents.topk import TOPK_ENV_VAR
 
@@ -520,7 +524,7 @@ def test_series_identical_under_topk_bypass_parallel(
     parallel = ParallelExperimentRunner(jobs=2)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
+    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
 def _topk_figure_observables(runner) -> tuple:
@@ -568,9 +572,11 @@ def test_topk_figure_self_identical_serial_vs_parallel():
     # rides the flood, dominated answers die mid-network, faults fire —
     # and the whole timeline still replays bit-identically whichever
     # runner executes it.
-    default = _topk_figure_observables(None)
-    assert _topk_figure_observables(ExperimentRunner()) == default
-    assert _topk_figure_observables(ParallelExperimentRunner(jobs=2)) == default
+    assert_golden("topk_figure", _topk_figure_observables(None))
+    assert_golden("topk_figure", _topk_figure_observables(ExperimentRunner()))
+    assert_golden(
+        "topk_figure", _topk_figure_observables(ParallelExperimentRunner(jobs=2))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +584,12 @@ def test_topk_figure_self_identical_serial_vs_parallel():
 # ---------------------------------------------------------------------------
 
 
+#: An active policy: replicas, hot-object copies and answer caching.
+REPLICATED = ReplicationPolicy(rf=2, hot_rf=3, cache_capacity=8)
+
+
 def _replication_flood_observables(policy) -> tuple:
     """A seeded star flood under an explicit replication policy."""
-    from repro.replication import ReplicationPolicy
-
     deployment = build_network(
         8,
         config=BestPeerConfig(
@@ -619,20 +627,23 @@ def test_replication_off_bitidentical_to_rf1(monkeypatch):
     # single-copy path: same per-host bytes, hop counts, and packet
     # totals as the default rf=1 policy.  "on" with rf=1 is equally
     # invisible — the default policy replicates nothing.
-    from repro.replication import REPLICATION_ENV_VAR, ReplicationPolicy
+    from repro.replication import REPLICATION_ENV_VAR
 
     monkeypatch.delenv(REPLICATION_ENV_VAR, raising=False)
-    baseline = _replication_flood_observables(None)
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    assert (
-        _replication_flood_observables(
-            ReplicationPolicy(rf=2, hot_rf=3, cache_capacity=8)
-        )
-        == baseline
+    assert_golden("replication_flood_rf1", _replication_flood_observables(None))
+    assert_golden(
+        "replication_flood_rf2", _replication_flood_observables(REPLICATED)
     )
-    assert _replication_flood_observables(None) == baseline
+    monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
+    assert_golden(
+        "replication_flood_rf1", _replication_flood_observables(REPLICATED)
+    )
+    assert_golden("replication_flood_rf1", _replication_flood_observables(None))
     monkeypatch.setenv(REPLICATION_ENV_VAR, "on")
-    assert _replication_flood_observables(ReplicationPolicy(rf=1)) == baseline
+    assert_golden(
+        "replication_flood_rf1",
+        _replication_flood_observables(ReplicationPolicy(rf=1)),
+    )
 
 
 def test_legacy_workloads_unaffected_by_replication_env(monkeypatch):
@@ -640,22 +651,19 @@ def test_legacy_workloads_unaffected_by_replication_env(monkeypatch):
     # deployments stay bit-identical whichever way the switch is set.
     from repro.replication import REPLICATION_ENV_VAR
 
-    monkeypatch.delenv(REPLICATION_ENV_VAR, raising=False)
-    drive, flood = _drive_deployment(), _flood_observables()
     monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    assert (_drive_deployment(), _flood_observables()) == (drive, flood)
+    assert_golden("drive_deployment", _drive_deployment())
+    assert_golden("flood_32", _flood_observables())
 
 
-def test_series_identical_under_replication_bypass(monkeypatch, fastpath_results):
+def test_series_identical_under_replication_bypass(monkeypatch):
     from repro.replication import REPLICATION_ENV_VAR
 
     monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    assert _run_figures() == fastpath_results
+    assert_golden("figures_tiny", _run_figures())
 
 
-def test_series_identical_under_replication_bypass_parallel(
-    monkeypatch, fastpath_results
-):
+def test_series_identical_under_replication_bypass_parallel(monkeypatch):
     # Checked per call, so --jobs workers inherit the switch via env.
     from repro.replication import REPLICATION_ENV_VAR
 
@@ -663,7 +671,7 @@ def test_series_identical_under_replication_bypass_parallel(
     parallel = ParallelExperimentRunner(jobs=2)
     fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
     fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert (fig5.series, fig8.series) == fastpath_results
+    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
 def _replication_figure_observables(runner) -> tuple:
@@ -716,49 +724,41 @@ def test_shards_off_and_one_bitidentical_to_serial(monkeypatch):
     # "off" (and "1") are the serial kernel with zero sharding overlay:
     # the env read happens in build_network, so the entire workload —
     # bytes, hops, packet totals — must be untouched.
-    monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-    drive, flood = _drive_deployment(), _flood_observables()
-    monkeypatch.setenv(SHARDS_ENV_VAR, "off")
-    assert (_drive_deployment(), _flood_observables()) == (drive, flood)
-    monkeypatch.setenv(SHARDS_ENV_VAR, "1")
-    assert (_drive_deployment(), _flood_observables()) == (drive, flood)
+    for shards in ("off", "1"):
+        monkeypatch.setenv(SHARDS_ENV_VAR, shards)
+        assert_golden("drive_deployment", _drive_deployment())
+        assert_golden("flood_32", _flood_observables())
 
 
 def test_wire_bytes_and_hops_identical_sharded_vs_serial(monkeypatch):
-    monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-    serial = _drive_deployment()
     for shards in ("2", "4"):
         monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-        assert _drive_deployment() == serial
+        assert_golden("drive_deployment", _drive_deployment())
 
 
 def test_32_node_flood_identical_sharded_vs_serial(monkeypatch):
-    monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-    serial = _flood_observables()
     for shards in ("2", "4"):
         for mode in ("hash", "locality"):
             monkeypatch.setenv(SHARDS_ENV_VAR, shards)
             monkeypatch.setenv(SHARD_MODE_ENV_VAR, mode)
-            assert _flood_observables() == serial
+            assert_golden("flood_32", _flood_observables())
 
 
-def test_series_identical_under_sharded_kernel(monkeypatch, fastpath_results):
+def test_series_identical_under_sharded_kernel(monkeypatch):
     # Figures 5a and 8a: reconfiguration, StorM scans, agent shipping —
     # the full stack rides the lockstep sharded executor bit-exactly.
     for shards in ("2", "4"):
         monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-        assert _run_figures() == fastpath_results
+        assert_golden("figures_tiny", _run_figures())
 
 
 def test_faulted_series_identical_under_sharded_kernel(monkeypatch):
     # Churn with live fault injection: crashes, outages, partitions and
     # latency changes fire mid-window, and the global-clock broadcast
     # keeps every shard anchored at serial time.
-    monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-    serial = _faulted_observables(None)
     for shards in ("2", "4"):
         monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-        assert _faulted_observables(None) == serial
+        assert_golden("faulted", _faulted_observables(None))
 
 
 def test_1k_node_flood_identical_sharded_vs_serial(monkeypatch):
@@ -782,9 +782,11 @@ def test_replication_figure_self_identical_serial_vs_parallel():
     # Offers, pushes, invalidations, cache hits and replica answers all
     # ride the same seeded timeline; the sweep must replay
     # bit-identically whichever runner executes it.
-    default = _replication_figure_observables(None)
-    assert _replication_figure_observables(ExperimentRunner()) == default
-    assert (
-        _replication_figure_observables(ParallelExperimentRunner(jobs=2))
-        == default
+    assert_golden("replication_figure", _replication_figure_observables(None))
+    assert_golden(
+        "replication_figure", _replication_figure_observables(ExperimentRunner())
+    )
+    assert_golden(
+        "replication_figure",
+        _replication_figure_observables(ParallelExperimentRunner(jobs=2)),
     )
