@@ -170,18 +170,23 @@ def _profiler_evidence(tracer: Tracer) -> dict[str, object]:
     return evidence
 
 
+class _NoCache(dict):
+    """A cache that never keeps an entry: the uncached baseline."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
 def _with_caches(enabled: bool, fn):
-    previous = os.environ.pop(codeship.NO_CACHE_ENV_VAR, None)
-    if not enabled:
-        os.environ[codeship.NO_CACHE_ENV_VAR] = "1"
     codeship.clear_caches()
+    if enabled:
+        return fn()
+    saved = codeship._source_cache, codeship._compile_cache
+    codeship._source_cache, codeship._compile_cache = _NoCache(), _NoCache()
     try:
         return fn()
     finally:
-        if previous is None:
-            os.environ.pop(codeship.NO_CACHE_ENV_VAR, None)
-        else:
-            os.environ[codeship.NO_CACHE_ENV_VAR] = previous
+        codeship._source_cache, codeship._compile_cache = saved
 
 
 def test_agent_path_flood_caches():

@@ -179,27 +179,12 @@ def test_control_plane_codec(benchmark):
     )
     pickle_seconds = _time_pickle_gzip(messages)
 
-    # Both codec modes must charge identical wire sizes for every
-    # registered message — the invariant that keeps simulated byte
-    # counts independent of REPRO_WIRE_CODEC.
+    # Every registered message is charged exactly its compact frame.
     samples = [spec.sample() for spec in registered_specs()]
-    saved_mode = os.environ.pop("REPRO_WIRE_CODEC", None)
-    try:
-        compact_sizes = [
-            WireEncoder(DEFAULT_CODEC, capacity=0).encode(m).compressed_size
-            for m in samples
-        ]
-        os.environ["REPRO_WIRE_CODEC"] = "pickle"
-        pickle_mode_sizes = [
-            WireEncoder(DEFAULT_CODEC, capacity=0).encode(m).compressed_size
-            for m in samples
-        ]
-    finally:
-        if saved_mode is None:
-            os.environ.pop("REPRO_WIRE_CODEC", None)
-        else:
-            os.environ["REPRO_WIRE_CODEC"] = saved_mode
-    assert compact_sizes == pickle_mode_sizes
+    compact_sizes = [
+        WireEncoder(DEFAULT_CODEC, capacity=0).encode(m).compressed_size
+        for m in samples
+    ]
     assert compact_sizes == [len(try_encode(m)) for m in samples]
 
     speedup = pickle_seconds / compact_seconds

@@ -16,9 +16,10 @@ the source stays self-contained.
 
 Two process-wide caches keep the execute path O(1) after first use —
 pure wall-clock optimisations that change nothing observable (per-host
-``installs`` counters, charged install costs and wire bytes are
-identical with the caches off; ``tests/agents/test_codeship_cache.py``
-and ``tests/eval/test_fastpath_determinism.py`` assert exactly that):
+``installs`` counters, charged install costs and wire bytes are the
+same from a cold or a warm cache; ``tests/agents/test_codeship_cache.py``
+and the recorded goldens checked by
+``tests/eval/test_fastpath_determinism.py`` pin exactly that):
 
 * a **source cache** keyed by class identity, so
   :func:`extract_source` pays :func:`inspect.getsource` (a file scan
@@ -30,10 +31,6 @@ and ``tests/eval/test_fastpath_determinism.py`` assert exactly that):
   never enter the compile cache — a shipped source must always produce
   a class distinct from the sender's original.
 
-Set ``REPRO_NO_AGENT_CACHE=1`` to bypass both caches (the determinism
-regression tests run every figure that way); the variable is consulted
-per call, so parallel-runner worker processes honour it too.
-
 Trust model: agents are arbitrary code run on behalf of remote peers —
 exactly what the paper proposes.  This reproduction runs everything in
 one process and makes no sandboxing claims; do not feed it hostile
@@ -44,20 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import os
 import textwrap
 import weakref
 
 from repro.agents.agent import Agent
 from repro.errors import CodeShippingError
-
-#: Environment variable that disables both agent-path caches when set to
-#: any non-empty value.  Checked on every call (an ``os.environ`` lookup
-#: is two orders of magnitude cheaper than the work the caches avoid).
-NO_CACHE_ENV_VAR = "REPRO_NO_AGENT_CACHE"
-
-#: Module-level master switch, AND-ed with the environment variable.
-AGENT_CACHE_ENABLED = True
 
 #: class object -> dedented source.  Weak keys: exec'd classes from
 #: short-lived registries must not be pinned by the cache.
@@ -71,11 +59,6 @@ source_cache_hits = 0
 source_cache_misses = 0
 compile_cache_hits = 0
 compile_cache_misses = 0
-
-
-def agent_cache_enabled() -> bool:
-    """True when the source/compile caches are active."""
-    return AGENT_CACHE_ENABLED and not os.environ.get(NO_CACHE_ENV_VAR)
 
 
 def cache_stats() -> dict[str, int]:
@@ -118,12 +101,10 @@ def extract_source(agent_class: type) -> str:
     shipped = getattr(agent_class, "__shipped_source__", None)
     if shipped is not None:
         return shipped
-    caching = agent_cache_enabled()
-    if caching:
-        cached = _source_cache.get(agent_class)
-        if cached is not None:
-            source_cache_hits += 1
-            return cached
+    cached = _source_cache.get(agent_class)
+    if cached is not None:
+        source_cache_hits += 1
+        return cached
     source_cache_misses += 1
     try:
         source = inspect.getsource(agent_class)
@@ -133,8 +114,7 @@ def extract_source(agent_class: type) -> str:
             class_name=agent_class.__name__,
         ) from exc
     source = textwrap.dedent(source)
-    if caching:
-        _source_cache[agent_class] = source
+    _source_cache[agent_class] = source
     return source
 
 
@@ -203,27 +183,23 @@ class AgentCodeRegistry:
     def install(self, class_name: str, source: str) -> type:
         """Install a shipped class by executing its source (idempotent).
 
-        With the process-wide compile cache on, identical source for the
-        same class name compiles once per process; this registry only
-        rebinds the cached class object.  The ``installs`` counter and
-        the simulated install cost charged by the engine are identical
-        either way — only the real compile/exec wall-clock is saved.
+        Through the process-wide compile cache, identical source for the
+        same class name compiles once per process; later registries only
+        rebind the cached class object.  The ``installs`` counter and the
+        simulated install cost charged by the engine are the same for a
+        hit and a miss — only the real compile/exec wall-clock is saved.
         """
         global compile_cache_hits, compile_cache_misses
         if class_name in self._classes:
             return self._classes[class_name]
-        installed: type | None = None
-        key: tuple[str, str] | None = None
-        if agent_cache_enabled():
-            key = (class_name, hashlib.sha256(source.encode()).hexdigest())
-            installed = _compile_cache.get(key)
+        key = (class_name, hashlib.sha256(source.encode()).hexdigest())
+        installed = _compile_cache.get(key)
         if installed is not None:
             compile_cache_hits += 1
         else:
             compile_cache_misses += 1
             installed = _compile_install(class_name, source)
-            if key is not None:
-                _compile_cache[key] = installed
+            _compile_cache[key] = installed
         self._classes[class_name] = installed
         self._sources[class_name] = source
         self.installs += 1

@@ -59,8 +59,8 @@ def _coalesce_answers(
     The wire analogue of :meth:`AgentEngine._ship_many`'s envelope
     sharing: an agent that replies several times to one initiator ships
     one :class:`BatchedAnswers` frame instead of N answer frames.  The
-    decision reads only the outbox contents — never the selected codec —
-    so both ``REPRO_WIRE_DATA`` modes ship identical message sequences.
+    decision reads only the outbox contents, so every transport ships
+    identical message sequences.
     Non-answer sends keep their positions; ordering is preserved.
     """
     out: list[tuple[IPAddress, str, Any]] = []

@@ -67,9 +67,9 @@ class AnswerMessage:
 class BatchedAnswers:
     """Several answers to one (destination, query), coalesced on the wire.
 
-    The batching decision is made from the outbox contents alone — never
-    from the selected codec — so both ``REPRO_WIRE_DATA`` modes ship the
-    same batches and charge the same wire sizes.  Decoding a batch frame
+    The batching decision is made from the outbox contents alone, so the
+    simulated and live wires ship the same batches and charge the same
+    wire sizes.  Decoding a batch frame
     yields a *lazy* instance (built via :meth:`lazy`) that holds
     zero-copy memoryview slices into the frame; the answer tuple is
     materialized once, on first access, so packets dropped before their

@@ -24,9 +24,10 @@ initiator by the hop that produced it: dropping a dominated answer can
 never lose a record that belongs in the true top-k.
 
 Exhaustive behaviour is fully preserved: with ``BestPeerConfig.top_k``
-left ``None`` (or ``REPRO_TOPK=off``) queries use the legacy
+left ``None`` queries use the plain
 :class:`~repro.agents.storm_agent.StorMSearchAgent` path and runs stay
-bit-identical — pinned by ``tests/eval/test_fastpath_determinism.py``.
+bit-identical — pinned by the recorded goldens that
+``tests/eval/test_fastpath_determinism.py`` checks.
 
 See ``docs/TOPK.md`` for the scoring model and merge semantics.
 """
@@ -34,7 +35,6 @@ See ``docs/TOPK.md`` for the scoring model and merge semantics.
 from __future__ import annotations
 
 import bisect
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -43,26 +43,6 @@ from repro.errors import AgentError
 from repro.ids import BPID, QueryId
 from repro.net.address import IPAddress
 from repro.storm.heapfile import RecordId
-
-#: Per-call kill switch for in-network top-k: ``off`` makes every node
-#: fall back to the exhaustive legacy agent even when ``top_k`` is
-#: configured.  Checked from the environment on each query — like
-#: ``REPRO_WIRE_CODEC`` — so ``--jobs`` workers inherit it for free.
-TOPK_ENV_VAR = "REPRO_TOPK"
-
-
-def topk_bypassed() -> bool:
-    """True when ``REPRO_TOPK=off`` disables in-network top-k."""
-    value = os.environ.get(TOPK_ENV_VAR)
-    if not value:
-        return False
-    normalized = value.strip().lower()
-    if normalized not in ("on", "off"):
-        raise AgentError(
-            f"{TOPK_ENV_VAR}={value!r} is not one of 'on', 'off'"
-        )
-    return normalized == "off"
-
 
 # ---------------------------------------------------------------------------
 # The merge operator

@@ -28,7 +28,7 @@ from repro.agents.engine import PROTO_ANSWER, AgentEngine
 from repro.agents.envelope import MODE_FLOOD
 from repro.agents.messages import MODE_METADATA, AnswerMessage, BatchedAnswers
 from repro.agents.storm_agent import StorMSearchAgent
-from repro.agents.topk import TopKDigest, TopKSearchAgent, topk_bypassed
+from repro.agents.topk import TopKDigest, TopKSearchAgent
 from repro.core import sharing
 from repro.core.config import BestPeerConfig
 from repro.core.discovery import (
@@ -40,7 +40,7 @@ from repro.core.discovery import (
 from repro.core.peers import PeerInfo, PeerTable
 from repro.core.query import QueryHandle
 from repro.core.reconfig import PeerObservation, ReconfigurationStrategy
-from repro.core.routing import make_routing_strategy, routing_bypassed
+from repro.core.routing import make_routing_strategy
 from repro.core.sharing import (
     PROTO_ACTIVE,
     PROTO_ACTIVE_REPLY,
@@ -217,15 +217,12 @@ class BestPeerNode:
         """Relay fan-out: where a flood travelling *through* us goes next.
 
         The routing strategy shapes the list (ordering, fan-out caps);
-        the default strategy behaviour — and ``REPRO_ROUTING=legacy`` —
-        is every direct peer not suspected dead, in table order, so in a
-        healthy network floods are unchanged until timeouts accumulate.
-        Relays have no keyword context (the engine forwards clones
-        before executing the agent), so keyword-aware ordering only
-        applies at the initiator.
+        the default strategy behaviour is every direct peer not suspected
+        dead, in table order, so in a healthy network floods are
+        unchanged until timeouts accumulate.  Relays have no keyword
+        context (the engine forwards clones before executing the agent),
+        so keyword-aware ordering only applies at the initiator.
         """
-        if routing_bypassed():
-            return self.peers.live_addresses()
         flood = getattr(self.strategy, "flood_targets", None)
         if flood is None:
             return self.peers.live_addresses()
@@ -403,8 +400,6 @@ class BestPeerNode:
         without routing by it), and only for keywords not reported
         before, so repeated sharing costs no extra control traffic.
         """
-        if routing_bypassed():
-            return
         if not (
             self.config.publish_hints
             or getattr(self.strategy, "uses_hint_directory", False)
@@ -451,9 +446,9 @@ class BestPeerNode:
         if self.engine is None:
             raise BestPeerError(f"node {self.name} must join before querying")
         query_id = QueryId(self.bpid, self._query_serials.next())
-        # In-network top-k is gated per call (REPRO_TOPK=off bypasses),
-        # so k=None / bypassed runs stay bit-identical to legacy floods.
-        top_k = self.config.top_k if not topk_bypassed() else None
+        # In-network top-k only with a configured k, so k=None runs
+        # stay bit-identical to exhaustive floods.
+        top_k = self.config.top_k
         handle = QueryHandle(
             query_id=query_id,
             keyword=keyword,
@@ -505,7 +500,7 @@ class BestPeerNode:
                 # Replica-aware searches ship a different (slightly
                 # larger) agent class, so they are dispatched only when
                 # the initiator's policy actually places replicas —
-                # rf=1 / REPRO_REPLICATION=off floods stay bit-identical.
+                # rf=1 floods stay bit-identical.
                 agent = ReplicatedSearchAgent(
                     keyword,
                     mode=mode,
@@ -531,8 +526,7 @@ class BestPeerNode:
             handle.mark_degraded("suspect-peer-skipped")
         ttl_value = ttl if ttl is not None else self.config.ttl
         if (
-            not routing_bypassed()
-            and getattr(self.strategy, "uses_hint_directory", False)
+            getattr(self.strategy, "uses_hint_directory", False)
             and self.liglo.bpid is not None
         ):
             self._dispatch_with_hints(handle, agent, ttl_value)
@@ -553,16 +547,14 @@ class BestPeerNode:
     def _dispatch_flood(self, handle: QueryHandle, agent: Agent, ttl: int) -> None:
         """Flood the search agent, fan-out shaped by the routing strategy.
 
-        Under ``REPRO_ROUTING=legacy`` (or with a strategy predating the
-        routing framework) the engine pulls the fan-out from
-        :meth:`_flood_addresses` itself — the pre-framework path.
+        With a strategy predating the routing framework the engine pulls
+        the fan-out from :meth:`_flood_addresses` itself.
         """
         assert self.engine is not None
         targets = None
-        if not routing_bypassed():
-            flood = getattr(self.strategy, "flood_targets", None)
-            if flood is not None:
-                targets = flood(handle.keyword, self.peers.entries())
+        flood = getattr(self.strategy, "flood_targets", None)
+        if flood is not None:
+            targets = flood(handle.keyword, self.peers.entries())
         self.engine.dispatch(
             agent,
             query_id=handle.query_id,

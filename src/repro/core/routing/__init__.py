@@ -6,14 +6,12 @@ by name with :func:`make_routing_strategy` or enumerate them with
 """
 
 from repro.core.routing.base import (
-    ROUTING_ENV_VAR,
     PeerObservation,
     RoutingStrategy,
     eligible,
     make_routing_strategy,
     register_strategy,
     registered_strategies,
-    routing_bypassed,
 )
 from repro.core.routing.classic import (
     MaxCountStrategy,
@@ -26,7 +24,6 @@ from repro.core.routing.history import QueryHistoryStrategy
 from repro.core.routing.superpeer import SuperPeerStrategy
 
 __all__ = [
-    "ROUTING_ENV_VAR",
     "PeerObservation",
     "RoutingStrategy",
     "CostAwareStrategy",
@@ -40,5 +37,4 @@ __all__ = [
     "make_routing_strategy",
     "register_strategy",
     "registered_strategies",
-    "routing_bypassed",
 ]

@@ -177,8 +177,7 @@ wire.register(
 #
 # A DataReply carries a peer's whole sharable dataset — the single
 # largest message in the system.  Stores past the data codec's frame cap
-# fall back to pickle+gzip; the decision depends only on the value, so
-# both ``REPRO_WIRE_DATA`` modes agree on the charged size.
+# fall back to pickle+gzip; the decision depends only on the value.
 
 from repro.net import datacodec as data
 

@@ -12,15 +12,12 @@ of ``(field name, field codec)`` pairs) in the module that defines them;
 anything unregistered — or carrying values that do not fit the fixed
 layout — falls back to the pickle+gzip path transparently.
 
-**The codec changes wall-clock only, never simulated bytes-semantics.**
 The transmission-cost model charges the real encoded size of the compact
-frame for every registered message *in both codec modes*: with
-``REPRO_WIRE_CODEC=pickle`` the payload bytes that cross the (simulated
-or live) wire are pickle, but the charged size is still the canonical
-frame size, so seeded runs produce bit-identical series, byte counts and
-hop counts whichever codec is selected.  The conformance battery in
-``tests/net`` pins this invariant with golden frame vectors, property
-tests, and a malformed-frame fault injector.
+frame for every registered message, on the simulated and the live wire
+alike.  The conformance battery in ``tests/net`` pins the layout with
+golden frame vectors, property tests, and a malformed-frame fault
+injector; the golden observables in ``tests/eval/goldens/`` pin the
+series, byte counts and hop counts the frames produce.
 
 Decoding is strict: bad magic, unsupported version, unknown type id,
 truncation, value overruns, oversized frames and trailing garbage all
@@ -31,7 +28,6 @@ frames without crashing.
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 from dataclasses import dataclass
@@ -56,33 +52,14 @@ HEADER_SIZE = _HEADER.size
 #: Control frames are small by definition; anything bigger is corrupt.
 MAX_FRAME_BYTES = 1 << 20
 
-#: Selects the wire codec: ``compact`` (default) or ``pickle``.  Checked
-#: on every encode (one ``os.environ`` lookup) — like
-#: ``REPRO_NO_AGENT_CACHE`` — so ``--jobs`` worker processes inherit the
-#: setting through their environment with no extra plumbing.
-WIRE_CODEC_ENV_VAR = "REPRO_WIRE_CODEC"
+#: Packet/EncodedPayload codec tags for compact frames and for the
+#: pickle(+gzip) fallback.
 CODEC_COMPACT = "compact"
 CODEC_PICKLE = "pickle"
-#: Module-level default, monkeypatchable by tests.
-DEFAULT_WIRE_CODEC = CODEC_COMPACT
 
 #: Pickle protocol for the embedded-blob field codec (matches
 #: :data:`repro.util.serialization.PICKLE_PROTOCOL` for size stability).
 _BLOB_PICKLE_PROTOCOL = 4
-
-
-def wire_codec_mode() -> str:
-    """The active codec name, honouring :data:`WIRE_CODEC_ENV_VAR` per call."""
-    value = os.environ.get(WIRE_CODEC_ENV_VAR)
-    if not value:
-        return DEFAULT_WIRE_CODEC
-    normalized = value.strip().lower()
-    if normalized not in (CODEC_COMPACT, CODEC_PICKLE):
-        raise WireCodecError(
-            f"{WIRE_CODEC_ENV_VAR}={value!r} is not one of "
-            f"{CODEC_COMPACT!r}, {CODEC_PICKLE!r}"
-        )
-    return normalized
 
 
 def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
@@ -495,9 +472,8 @@ def encode_message(message: Any) -> bytes:
 
 def try_encode(message: Any) -> bytes | None:
     """The compact frame, or None when the message must take the pickle
-    fallback.  The decision depends only on the message value — never on
-    the codec mode — so both modes agree on which path a message takes
-    (and therefore on its charged wire size)."""
+    fallback.  The decision depends only on the message value, so the
+    simulated and live wires agree on which path a message takes."""
     if type(message) not in _BY_CLASS:
         return None
     try:

@@ -26,15 +26,10 @@ from repro.replication.messages import (
     ReplicaPush,
     ReplicaRecord,
 )
-from repro.replication.policy import (
-    REPLICATION_ENV_VAR,
-    ReplicationPolicy,
-    replication_bypassed,
-)
+from repro.replication.policy import ReplicationPolicy
 
 __all__ = [
     "REPLICA_PAGE_BIT",
-    "REPLICATION_ENV_VAR",
     "PROTO_REPLICA_ACCEPT",
     "PROTO_REPLICA_INVALIDATE",
     "PROTO_REPLICA_OFFER",
@@ -50,5 +45,4 @@ __all__ = [
     "ResultCache",
     "is_replica_rid",
     "replica_store_rid",
-    "replication_bypassed",
 ]

@@ -12,8 +12,8 @@ double-counts.
 Kept as a *separate* class rather than a change to the legacy agent on
 purpose: agent class source ships over the wire (and is charged by
 size), so touching ``StorMSearchAgent`` would shift the byte series of
-every existing figure.  ``rf=1`` / ``REPRO_REPLICATION=off`` initiators
-keep dispatching the legacy agent, bit-identical to before.
+every existing figure.  ``rf=1`` initiators keep dispatching the plain
+agent, bit-identical to before.
 
 Like every shipped agent it subclasses ``Agent``, keeps its state
 plain, and imports inside :meth:`execute` so the shipped source is

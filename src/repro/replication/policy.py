@@ -11,37 +11,16 @@ up with (cf. the ``ard1102__p2p`` replication coordinator the ROADMAP
 points at).
 
 ``rf=1`` (the default) keeps the paper's single-copy behaviour
-bit-identical; ``REPRO_REPLICATION=off`` bypasses the whole subsystem
-per call — like ``REPRO_TOPK`` — so ``--jobs`` worker processes
-inherit the setting through their environment with no extra plumbing.
+bit-identical: the recorded goldens checked by
+``tests/eval/test_fastpath_determinism.py`` pin both the single-copy
+and a replicated star flood.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ReplicationError
-
-#: Per-call kill switch for the replication subsystem: ``off`` disables
-#: placement, replica answering, invalidation, and the result cache even
-#: when the config policy asks for them.  Checked from the environment
-#: on each call — like ``REPRO_TOPK`` — so ``--jobs`` workers inherit it.
-REPLICATION_ENV_VAR = "REPRO_REPLICATION"
-
-
-def replication_bypassed() -> bool:
-    """True when ``REPRO_REPLICATION=off`` disables replication."""
-    value = os.environ.get(REPLICATION_ENV_VAR)
-    if not value:
-        return False
-    normalized = value.strip().lower()
-    if normalized not in ("on", "off"):
-        raise ReplicationError(
-            f"{REPLICATION_ENV_VAR}={value!r} is not one of 'on', 'off'"
-        )
-    return normalized == "off"
-
 
 @dataclass(frozen=True)
 class ReplicationPolicy:

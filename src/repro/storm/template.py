@@ -10,16 +10,13 @@ writes to it, and each clone gets its own buffer manager and access
 statistics.  A clone is observationally identical to a store freshly
 populated with the same objects — same record ids, same postings, same
 buffer residency after the ``HeapFile`` open scan — so figures built on
-clones produce bit-identical series.
-
-``REPRO_NO_STORE_TEMPLATE=1`` disables the process-wide registry, which
-callers (see :mod:`repro.workloads.provision`) use to fall back to
-populating every store from scratch.
+clones produce bit-identical series (the recorded goldens checked by
+``tests/eval/test_fastpath_determinism.py`` pin the figures built on
+them).
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -29,22 +26,12 @@ from repro.storm.heapfile import RecordId
 from repro.storm.replacement import ReplacementStrategy
 from repro.storm.store import StorM
 
-#: Set ``REPRO_NO_STORE_TEMPLATE=1`` to bypass the template registry and
-#: repopulate every store from scratch.  Checked per call so ``--jobs``
-#: worker processes inherit the switch through the environment.
-TEMPLATE_ENV_VAR = "REPRO_NO_STORE_TEMPLATE"
-
 #: Registry capacity; oldest entries are evicted first.  Experiments key
 #: templates by content digest, and one figure needs at most a few dozen
 #: distinct (corpus, node, size) combinations at a time.
 REGISTRY_CAPACITY = 128
 
 _REGISTRY: dict[str, "StoreTemplate"] = {}
-
-
-def templates_disabled() -> bool:
-    """True when the environment disables store templating."""
-    return os.environ.get(TEMPLATE_ENV_VAR, "") not in ("", "0")
 
 
 def cached_template(key: str) -> "StoreTemplate | None":

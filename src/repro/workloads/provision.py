@@ -13,8 +13,10 @@ answers) into a fresh StorM store at every sweep point.
 
 Both paths are observationally identical to a fresh ``put`` loop —
 record ids, postings, search results, and per-search buffer deltas all
-match bit-for-bit — and both honour their environment kill switches
-(``REPRO_NO_BULK_LOAD``, ``REPRO_NO_STORE_TEMPLATE``).
+match bit-for-bit.  ``tests/storm/test_bulk_load.py`` pins that per
+store, and the recorded goldens checked by
+``tests/eval/test_fastpath_determinism.py`` pin the figures built on
+provisioned stores.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from repro.storm.template import (
     StoreTemplate,
     cached_template,
     register_template,
-    templates_disabled,
 )
 from repro.workloads.corpus import KeywordCorpus, generate_objects
 from repro.workloads.placement import AnswerPlacement
@@ -85,14 +86,9 @@ def content_digest(items: Sequence[tuple[Sequence[str], bytes]]) -> str:
 def store_for_items(items: Items) -> StorM:
     """A store holding exactly ``items``, via the template registry.
 
-    With templating disabled (``REPRO_NO_STORE_TEMPLATE=1``) every call
-    populates a fresh store; otherwise the first call per distinct item
-    sequence builds and registers a template and later calls clone it.
+    The first call per distinct item sequence builds and registers a
+    template; later calls clone it.
     """
-    if templates_disabled():
-        store = StorM()
-        store.put_many(items)
-        return store
     key = content_digest(items)
     template = cached_template(key)
     if template is None:

@@ -3,8 +3,8 @@
 Drives whole BestPeer deployments with ``BestPeerConfig.top_k`` set and
 checks the contract from the initiator's chair: the merged top-k always
 equals exhaustive-then-truncate, dominated answers die in-network
-(digests instead of payloads), and the legacy exhaustive path — k=None
-or ``REPRO_TOPK=off`` — is behaviourally untouched.
+(digests instead of payloads), and the exhaustive path — k=None — is
+behaviourally untouched.
 """
 
 import pytest
@@ -12,15 +12,9 @@ import pytest
 from repro.agents.costs import AgentCosts
 from repro.agents.messages import AnswerMessage
 from repro.agents.storm_agent import StorMSearchAgent
-from repro.agents.topk import (
-    ScoredAnswer,
-    TOPK_ENV_VAR,
-    TopKDigest,
-    TopKSearchAgent,
-    topk_bypassed,
-)
+from repro.agents.topk import ScoredAnswer, TopKDigest, TopKSearchAgent
 from repro.core import BestPeerConfig, build_network
-from repro.errors import AgentError, BestPeerError
+from repro.errors import BestPeerError
 from repro.topology import line, star
 
 FAST = AgentCosts(
@@ -148,25 +142,6 @@ class TestLegacyPathPreserved:
         assert handle.top_k is None
         assert all(type(a) is AnswerMessage for a in handle.answers)
         assert handle.digests == [] and handle.dominated_dropped == 0
-
-    def test_bypass_disables_topk(self, monkeypatch):
-        monkeypatch.setenv(TOPK_ENV_VAR, "off")
-        assert topk_bypassed()
-        _net, handle = run_query(top_k=2)
-        assert handle.top_k is None
-        assert all(type(a) is AnswerMessage for a in handle.answers)
-        assert handle.network_answer_count == 15
-
-    def test_bypass_on_keeps_topk(self, monkeypatch):
-        monkeypatch.setenv(TOPK_ENV_VAR, "on")
-        assert not topk_bypassed()
-        _net, handle = run_query(top_k=2)
-        assert handle.top_k == 2
-
-    def test_invalid_bypass_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(TOPK_ENV_VAR, "maybe")
-        with pytest.raises(AgentError):
-            topk_bypassed()
 
 
 class TestAgentContract:

@@ -23,7 +23,7 @@ from repro.core.routing import (
     make_routing_strategy,
     registered_strategies,
 )
-from repro.core.routing.base import register_strategy, routing_bypassed
+from repro.core.routing.base import register_strategy
 from repro.errors import BestPeerError
 from tests.core.routing_conformance import (
     StrategyConformance,
@@ -65,14 +65,6 @@ class TestRegistry:
             @register_strategy
             class Nameless(RoutingStrategy):
                 name = "abstract"
-
-    def test_bypass_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ROUTING", raising=False)
-        assert not routing_bypassed()
-        monkeypatch.setenv("REPRO_ROUTING", "legacy")
-        assert routing_bypassed()
-        monkeypatch.setenv("REPRO_ROUTING", "strategy")
-        assert not routing_bypassed()
 
 
 # -- hypothesis properties ---------------------------------------------------

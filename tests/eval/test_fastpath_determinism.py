@@ -3,10 +3,10 @@
 Every observable output — figure series, bytes on the wire, packet
 counts, answer hop counts, fault and replication counters — is pinned
 by a recorded golden under ``tests/eval/goldens/``.  Each case below
-drives one workload under one runner or cache setting and compares it
-against that golden, so a fast path that drifts fails here instead of
-silently changing a figure.  Intentional changes regenerate the goldens
-with ``REPRO_REWRITE_VECTORS=1`` and say so in CHANGES.md.
+drives one workload under one runner, cache or shard setting and
+compares it against that golden, so a fast path that drifts fails here
+instead of silently changing a figure.  Intentional changes regenerate
+the goldens with ``REPRO_REWRITE_VECTORS=1`` and say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import repro.storm.store as store_module
 import repro.storm.template as template_module
 import repro.util.serialization as serialization_module
 from repro.agents import codeship
-from repro.net.codec import WIRE_CODEC_ENV_VAR
-from repro.net.datacodec import WIRE_DATA_ENV_VAR
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
 from repro.eval.experiment import ExperimentRunner, ParallelExperimentRunner
@@ -36,6 +34,9 @@ REWRITE_ENV_VAR = "REPRO_REWRITE_VECTORS"
 #: Small enough to run every variant in seconds, big enough to exercise
 #: flooding, reconfiguration, StorM scans and multi-page heaps.
 TINY = FigureParams(objects_per_node=20, object_size=256, queries=2)
+
+#: An active policy: replicas, hot-object copies and answer caching.
+REPLICATED = ReplicationPolicy(rf=2, hot_rf=3, cache_capacity=8)
 
 
 def assert_golden(name: str, observed) -> None:
@@ -57,169 +58,20 @@ def assert_golden(name: str, observed) -> None:
     )
 
 
-def _run_figures():
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4))
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2)
+# ---------------------------------------------------------------------------
+# Workloads
+# ---------------------------------------------------------------------------
+
+
+def _run_figures(runner=None):
+    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=runner)
+    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=runner)
     return fig5.series, fig8.series
 
 
-def test_series_identical_with_caches_disabled(monkeypatch):
-    monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
-    monkeypatch.setattr(store_module, "SCAN_CACHE_DEFAULT", False)
-    assert_golden("figures_tiny", _run_figures())
-
-
-def test_series_identical_with_bulk_load_disabled(monkeypatch):
-    monkeypatch.setenv(store_module.BULK_LOAD_ENV_VAR, "1")
-    template_module.clear_templates()
-    try:
-        assert_golden("figures_tiny", _run_figures())
-    finally:
-        # Templates built on the per-record path are still bit-identical,
-        # but drop them so later tests rebuild via the default path.
-        template_module.clear_templates()
-
-
-def test_series_identical_with_templates_disabled(monkeypatch):
-    monkeypatch.setenv(template_module.TEMPLATE_ENV_VAR, "1")
-    assert_golden("figures_tiny", _run_figures())
-
-
-def test_series_identical_with_bulk_and_templates_disabled(monkeypatch):
-    # Both fast paths off is exactly the pre-optimization per-record
-    # population loop — the semantic reference.
-    monkeypatch.setenv(store_module.BULK_LOAD_ENV_VAR, "1")
-    monkeypatch.setenv(template_module.TEMPLATE_ENV_VAR, "1")
-    assert_golden("figures_tiny", _run_figures())
-
-
-def test_series_identical_with_templates_disabled_parallel(monkeypatch):
-    # Worker processes inherit the environment switch.
-    monkeypatch.setenv(template_module.TEMPLATE_ENV_VAR, "1")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert_golden("figures_tiny", (fig5.series, fig8.series))
-
-
-def test_series_identical_with_bulk_load_disabled_parallel(monkeypatch):
-    monkeypatch.setenv(store_module.BULK_LOAD_ENV_VAR, "1")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert_golden("figures_tiny", (fig5.series, fig8.series))
-
-
-def test_series_identical_with_agent_caches_disabled(monkeypatch):
-    monkeypatch.setenv(codeship.NO_CACHE_ENV_VAR, "1")
-    codeship.clear_caches()
-    assert_golden("figures_tiny", _run_figures())
-
-
-def test_series_identical_with_agent_caches_disabled_parallel(monkeypatch):
-    # Worker processes inherit the environment, so the bypass holds
-    # under the multiprocessing runner too.
-    monkeypatch.setenv(codeship.NO_CACHE_ENV_VAR, "1")
-    codeship.clear_caches()
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert_golden("figures_tiny", (fig5.series, fig8.series))
-
-
-def test_series_identical_under_parallel_runner():
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert_golden("figures_tiny", (fig5.series, fig8.series))
-
-
-def test_series_identical_under_serial_runner():
-    serial = ExperimentRunner()
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=serial)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=serial)
-    assert_golden("figures_tiny", (fig5.series, fig8.series))
-
-
-def _drive_deployment() -> tuple[list[int], list[tuple], int, int, int]:
-    """One deterministic BestPeer workload; returns wire-level observables
-    plus per-answer hop counts."""
-    deployment = build_network(
-        5,
-        config=BestPeerConfig(max_direct_peers=3, strategy="maxcount"),
-        topology=line(5),
-    )
-    deployment.nodes[3].share(["needle"], b"payload-at-node-3")
-    deployment.nodes[4].share(["needle"], b"payload-at-node-4")
-    sizes = []
-    answer_hops = []
-    for _ in range(2):
-        handle = deployment.base.issue_query("needle")
-        deployment.sim.run()
-        answer_hops.extend(
-            sorted(
-                (str(ans.responder), ans.hops, ans.answer_count)
-                for ans in handle.answers
-            )
-        )
-        deployment.base.finish_query(handle)
-    network = deployment.network
-    for host in network.hosts.values():
-        sizes.append(host.bytes_sent)
-    return (
-        sizes,
-        answer_hops,
-        network.bytes_carried,
-        network.packets_delivered,
-        network.packets_dropped,
-    )
-
-
-def test_wire_bytes_identical_cache_on_vs_off(monkeypatch):
-    assert_golden("drive_deployment", _drive_deployment())
-    monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
-    assert_golden("drive_deployment", _drive_deployment())
-
-
-def test_wire_bytes_and_hops_identical_agent_cache_on_vs_off(monkeypatch):
-    codeship.clear_caches()
-    assert_golden("drive_deployment", _drive_deployment())
-    monkeypatch.setenv(codeship.NO_CACHE_ENV_VAR, "1")
-    codeship.clear_caches()
-    assert_golden("drive_deployment", _drive_deployment())
-
-
-def test_series_identical_under_pickle_wire_codec(monkeypatch):
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    assert_golden("figures_tiny", _run_figures())
-
-
-def test_series_identical_under_pickle_wire_codec_parallel(monkeypatch):
-    # The codec switch is read from the environment on every encode, so
-    # the multiprocessing runner's workers inherit it like any other env.
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert_golden("figures_tiny", (fig5.series, fig8.series))
-
-
-def test_wire_bytes_and_hops_identical_compact_vs_pickle(monkeypatch):
-    monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-    assert_golden("drive_deployment", _drive_deployment())
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    assert_golden("drive_deployment", _drive_deployment())
-
-
-def _flood_observables(node_count: int = 32) -> tuple:
-    """A seeded star flood; per-host byte counts plus network totals."""
-    deployment = build_network(
-        node_count,
-        config=BestPeerConfig(max_direct_peers=node_count, strategy="static"),
-        topology=star(node_count),
-    )
-    deployment.nodes[3].share(["needle"], b"payload-at-node-3")
-    deployment.nodes[node_count - 1].share(["needle"], b"payload-at-the-rim")
+def _query_twice(deployment) -> tuple:
+    """Issue the same query twice from the base; return per-host bytes,
+    per-answer hop counts and the network's packet totals."""
     answer_hops = []
     for _ in range(2):
         handle = deployment.base.issue_query("needle")
@@ -238,59 +90,136 @@ def _flood_observables(node_count: int = 32) -> tuple:
         network.bytes_carried,
         network.packets_delivered,
         network.packets_dropped,
-        network.decode_errors,
     )
 
 
-def test_32_node_flood_identical_compact_vs_pickle(monkeypatch):
-    monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-    assert_golden("flood_32", _flood_observables())
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    assert_golden("flood_32", _flood_observables())
+def _drive_deployment() -> tuple:
+    """A 5-node MaxCount line with two holders: reconfiguration moves
+    the holders closer between the two queries."""
+    deployment = build_network(
+        5,
+        config=BestPeerConfig(max_direct_peers=3, strategy="maxcount"),
+        topology=line(5),
+    )
+    deployment.nodes[3].share(["needle"], b"payload-at-node-3")
+    deployment.nodes[4].share(["needle"], b"payload-at-node-4")
+    return _query_twice(deployment)
+
+
+def _flood_observables(node_count: int = 32) -> tuple:
+    """A seeded static star flood, plus the decode-error count."""
+    deployment = build_network(
+        node_count,
+        config=BestPeerConfig(max_direct_peers=node_count, strategy="static"),
+        topology=star(node_count),
+    )
+    deployment.nodes[3].share(["needle"], b"payload-at-node-3")
+    deployment.nodes[node_count - 1].share(["needle"], b"payload-at-the-rim")
+    return _query_twice(deployment) + (deployment.network.decode_errors,)
+
+
+def _scored_star(**config) -> tuple:
+    """An 8-node static star with several scored matches per rim node."""
+    deployment = build_network(
+        8,
+        config=BestPeerConfig(max_direct_peers=8, strategy="static", **config),
+        topology=star(8),
+    )
+    for index, node in enumerate(deployment.nodes[1:], 1):
+        node.share(["needle"] + ["pad"] * (index % 3), bytes([index]) * 64)
+    return _query_twice(deployment)
 
 
 # ---------------------------------------------------------------------------
-# Data-plane streaming codec: REPRO_WIRE_DATA must be invisible
+# Figure series: serial, parallel, caches off, cold process caches
 # ---------------------------------------------------------------------------
 
 
-def test_series_identical_under_pickle_data_codec(monkeypatch):
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
+def test_series_identical_under_serial_runner():
+    assert_golden("figures_tiny", _run_figures())
+    assert_golden("figures_tiny", _run_figures(ExperimentRunner()))
+
+
+def test_series_identical_under_parallel_runner():
+    assert_golden("figures_tiny", _run_figures(ParallelExperimentRunner(jobs=2)))
+
+
+def test_series_identical_with_caches_disabled(monkeypatch):
+    monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
+    monkeypatch.setattr(store_module, "SCAN_CACHE_DEFAULT", False)
     assert_golden("figures_tiny", _run_figures())
 
 
-def test_series_identical_under_pickle_data_codec_parallel(monkeypatch):
-    # Read from the environment on every encode, so the multiprocessing
-    # runner's workers inherit the switch like any other env var.
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert_golden("figures_tiny", (fig5.series, fig8.series))
+@pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "parallel"])
+def test_series_identical_from_cold_process_caches(jobs):
+    # Store templates and the agent source/compile caches live for the
+    # whole process; a cold start bulk-loads every store and compiles
+    # every shipped agent class, and must still land on the golden.
+    template_module.clear_templates()
+    codeship.clear_caches()
+    runner = ParallelExperimentRunner(jobs=jobs) if jobs else None
+    assert_golden("figures_tiny", _run_figures(runner))
 
 
-def test_wire_bytes_and_hops_identical_stream_vs_pickle(monkeypatch):
-    monkeypatch.delenv(WIRE_DATA_ENV_VAR, raising=False)
+# ---------------------------------------------------------------------------
+# Wire bytes and hops: deployments and floods
+# ---------------------------------------------------------------------------
+
+
+def test_wire_bytes_identical_cache_on_vs_off(monkeypatch):
+    codeship.clear_caches()
+    assert_golden("drive_deployment", _drive_deployment())  # cold agent caches
+    assert_golden("drive_deployment", _drive_deployment())  # warm agent caches
+    monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
     assert_golden("drive_deployment", _drive_deployment())
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    assert_golden("drive_deployment", _drive_deployment())
 
 
-def test_32_node_flood_identical_stream_vs_pickle(monkeypatch):
-    monkeypatch.delenv(WIRE_DATA_ENV_VAR, raising=False)
+def test_32_node_flood_matches_golden(monkeypatch):
     assert_golden("flood_32", _flood_observables())
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
+    monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
     assert_golden("flood_32", _flood_observables())
 
 
-def test_32_node_flood_identical_with_both_planes_on_pickle(monkeypatch):
-    # Both fallbacks together are the full pre-codec wire stack.
-    monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-    monkeypatch.delenv(WIRE_DATA_ENV_VAR, raising=False)
-    assert_golden("flood_32", _flood_observables())
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    assert_golden("flood_32", _flood_observables())
+def test_topk_flood_matches_goldens():
+    # k=None is the exhaustive flood; k=4 carries the travelling
+    # accumulator and lets dominated answers die in-network.
+    assert_golden("topk_flood_k_none", _scored_star(top_k=None))
+    assert_golden("topk_flood_k4", _scored_star(top_k=4))
+
+
+def test_replication_flood_matches_goldens():
+    # rf=1 (the default) places nothing; REPLICATED pushes copies,
+    # promotes hot records and caches answer sets.
+    assert_golden("replication_flood_rf1", _scored_star())
+    assert_golden(
+        "replication_flood_rf1", _scored_star(replication=ReplicationPolicy(rf=1))
+    )
+    assert_golden("replication_flood_rf2", _scored_star(replication=REPLICATED))
+
+
+def test_encoder_cache_actually_hits_during_flood():
+    # A star base floods one envelope object to every peer.  The first
+    # query ships per-peer class source (distinct envelopes); once the
+    # peers cache the agent class, the second query's fan-out reuses a
+    # single envelope and must hit the encoder cache.
+    deployment = build_network(
+        6,
+        config=BestPeerConfig(max_direct_peers=8, strategy="static"),
+        topology=star(6),
+    )
+    deployment.nodes[3].share(["needle"], b"on a leaf")
+    for _ in range(2):
+        handle = deployment.base.issue_query("needle")
+        deployment.sim.run()
+        deployment.base.finish_query(handle)
+    network = deployment.network
+    assert network.encode_misses > 0
+    assert network.encode_hits > 0  # fan-out re-used at least one encoding
+
+
+# ---------------------------------------------------------------------------
+# Figure trials under the churn fault plan: serial vs parallel
+# ---------------------------------------------------------------------------
 
 
 def _faulted_observables(runner) -> tuple:
@@ -321,86 +250,17 @@ def _faulted_observables(runner) -> tuple:
 
 
 def test_faulted_series_identical_serial_vs_parallel():
-    # Fault injection must not break the fast-path contract: a nonzero
-    # FaultPlan replays identically under the default, serial, and
-    # parallel runners.
+    # A nonzero FaultPlan replays identically under the default, serial
+    # and parallel runners.
     assert_golden("faulted", _faulted_observables(None))
     assert_golden("faulted", _faulted_observables(ExperimentRunner()))
     assert_golden("faulted", _faulted_observables(ParallelExperimentRunner(jobs=2)))
 
 
-def test_encoder_cache_actually_hits_during_flood():
-    # A star base floods one envelope object to every peer.  The first
-    # query ships per-peer class source (distinct envelopes); once the
-    # peers cache the agent class, the second query's fan-out reuses a
-    # single envelope and must hit the encoder cache.
-    deployment = build_network(
-        6,
-        config=BestPeerConfig(max_direct_peers=8, strategy="static"),
-        topology=star(6),
-    )
-    deployment.nodes[3].share(["needle"], b"on a leaf")
-    for _ in range(2):
-        handle = deployment.base.issue_query("needle")
-        deployment.sim.run()
-        deployment.base.finish_query(handle)
-    network = deployment.network
-    assert network.encode_misses > 0
-    assert network.encode_hits > 0  # fan-out re-used at least one encoding
-
-
-# ---------------------------------------------------------------------------
-# Routing framework: REPRO_ROUTING=legacy must be invisible
-# ---------------------------------------------------------------------------
-
-
-def test_series_identical_under_legacy_routing(monkeypatch):
-    # "legacy" floods to every non-suspect peer in table order — the
-    # pre-framework forwarding path.  For the paper strategies the
-    # strategy-driven fan-out must be bit-identical to it.
-    from repro.core.routing.base import ROUTING_ENV_VAR
-
-    monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    assert_golden("figures_tiny", _run_figures())
-
-
-def test_series_identical_under_legacy_routing_parallel(monkeypatch):
-    # Checked per call, so --jobs workers inherit the switch via env.
-    from repro.core.routing.base import ROUTING_ENV_VAR
-
-    monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert_golden("figures_tiny", (fig5.series, fig8.series))
-
-
-def test_wire_bytes_and_hops_identical_legacy_vs_strategy_routing(monkeypatch):
-    from repro.core.routing.base import ROUTING_ENV_VAR
-
-    monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
-    assert_golden("drive_deployment", _drive_deployment())
-    monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    assert_golden("drive_deployment", _drive_deployment())
-
-
-def test_faulted_series_identical_under_legacy_routing(monkeypatch):
-    # The churn figure (maxcount vs static) under a nonzero fault plan:
-    # same series, bytes, hops and drop counters either way the
-    # forwarding switch is thrown, serial and parallel.
-    from repro.core.routing.base import ROUTING_ENV_VAR
-
-    monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
-    assert_golden("faulted", _faulted_observables(None))
-    monkeypatch.setenv(ROUTING_ENV_VAR, "legacy")
-    assert_golden("faulted", _faulted_observables(None))
-    assert_golden("faulted", _faulted_observables(ParallelExperimentRunner(jobs=2)))
-
-
 def _routing_observables(runner) -> tuple:
     """The routing comparison figure under the churn fault plan; every
-    per-trial observable, for the new strategies only (the paper
-    strategies are covered by the legacy-bypass tests above)."""
+    per-trial observable, for the strategies beyond the paper's (the
+    paper strategies drive the figure and churn goldens above)."""
     from repro.eval.routing import figure_routing
 
     params = FigureParams(objects_per_node=0, queries=2, seed=0)
@@ -444,87 +304,6 @@ def test_new_strategies_self_identical_serial_vs_parallel():
     assert_golden(
         "routing_figure", _routing_observables(ParallelExperimentRunner(jobs=2))
     )
-
-
-# ---------------------------------------------------------------------------
-# In-network top-k: REPRO_TOPK and k=None must leave legacy runs untouched
-# ---------------------------------------------------------------------------
-
-
-def _topk_flood_observables(top_k) -> tuple:
-    """A seeded star flood with several scored matches per rim node."""
-    deployment = build_network(
-        8,
-        config=BestPeerConfig(
-            max_direct_peers=8, strategy="static", top_k=top_k
-        ),
-        topology=star(8),
-    )
-    for index, node in enumerate(deployment.nodes[1:], 1):
-        node.share(["needle"] + ["pad"] * (index % 3), bytes([index]) * 64)
-    answer_hops = []
-    for _ in range(2):
-        handle = deployment.base.issue_query("needle")
-        deployment.sim.run()
-        answer_hops.extend(
-            sorted(
-                (str(ans.responder), ans.hops, ans.answer_count)
-                for ans in handle.answers
-            )
-        )
-        deployment.base.finish_query(handle)
-    network = deployment.network
-    return (
-        [host.bytes_sent for host in network.hosts.values()],
-        answer_hops,
-        network.bytes_carried,
-        network.packets_delivered,
-        network.packets_dropped,
-    )
-
-
-def test_topk_off_bitidentical_to_k_none(monkeypatch):
-    # REPRO_TOPK=off with a configured k is the legacy exhaustive path:
-    # same per-host bytes, hop counts, and packet totals as top_k=None.
-    from repro.agents.topk import TOPK_ENV_VAR
-
-    monkeypatch.delenv(TOPK_ENV_VAR, raising=False)
-    assert_golden("topk_flood_k_none", _topk_flood_observables(None))
-    assert_golden("topk_flood_k4", _topk_flood_observables(4))
-    monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    assert_golden("topk_flood_k_none", _topk_flood_observables(4))
-    assert_golden("topk_flood_k_none", _topk_flood_observables(None))
-    # "on" with no configured k is equally invisible.
-    monkeypatch.setenv(TOPK_ENV_VAR, "on")
-    assert_golden("topk_flood_k_none", _topk_flood_observables(None))
-
-
-def test_legacy_workloads_unaffected_by_topk_env(monkeypatch):
-    # The per-call env check must be a pure read: legacy (k=None)
-    # deployments stay bit-identical whichever way the switch is set.
-    from repro.agents.topk import TOPK_ENV_VAR
-
-    monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    assert_golden("drive_deployment", _drive_deployment())
-    assert_golden("flood_32", _flood_observables())
-
-
-def test_series_identical_under_topk_bypass(monkeypatch):
-    from repro.agents.topk import TOPK_ENV_VAR
-
-    monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    assert_golden("figures_tiny", _run_figures())
-
-
-def test_series_identical_under_topk_bypass_parallel(monkeypatch):
-    # Checked per call, so --jobs workers inherit the switch via env.
-    from repro.agents.topk import TOPK_ENV_VAR
-
-    monkeypatch.setenv(TOPK_ENV_VAR, "off")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert_golden("figures_tiny", (fig5.series, fig8.series))
 
 
 def _topk_figure_observables(runner) -> tuple:
@@ -579,101 +358,6 @@ def test_topk_figure_self_identical_serial_vs_parallel():
     )
 
 
-# ---------------------------------------------------------------------------
-# Replication: REPRO_REPLICATION and rf=1 must leave legacy runs untouched
-# ---------------------------------------------------------------------------
-
-
-#: An active policy: replicas, hot-object copies and answer caching.
-REPLICATED = ReplicationPolicy(rf=2, hot_rf=3, cache_capacity=8)
-
-
-def _replication_flood_observables(policy) -> tuple:
-    """A seeded star flood under an explicit replication policy."""
-    deployment = build_network(
-        8,
-        config=BestPeerConfig(
-            max_direct_peers=8,
-            strategy="static",
-            replication=policy or ReplicationPolicy(),
-        ),
-        topology=star(8),
-    )
-    for index, node in enumerate(deployment.nodes[1:], 1):
-        node.share(["needle"] + ["pad"] * (index % 3), bytes([index]) * 64)
-    answer_hops = []
-    for _ in range(2):
-        handle = deployment.base.issue_query("needle")
-        deployment.sim.run()
-        answer_hops.extend(
-            sorted(
-                (str(ans.responder), ans.hops, ans.answer_count)
-                for ans in handle.answers
-            )
-        )
-        deployment.base.finish_query(handle)
-    network = deployment.network
-    return (
-        [host.bytes_sent for host in network.hosts.values()],
-        answer_hops,
-        network.bytes_carried,
-        network.packets_delivered,
-        network.packets_dropped,
-    )
-
-
-def test_replication_off_bitidentical_to_rf1(monkeypatch):
-    # REPRO_REPLICATION=off with an active policy is the legacy
-    # single-copy path: same per-host bytes, hop counts, and packet
-    # totals as the default rf=1 policy.  "on" with rf=1 is equally
-    # invisible — the default policy replicates nothing.
-    from repro.replication import REPLICATION_ENV_VAR
-
-    monkeypatch.delenv(REPLICATION_ENV_VAR, raising=False)
-    assert_golden("replication_flood_rf1", _replication_flood_observables(None))
-    assert_golden(
-        "replication_flood_rf2", _replication_flood_observables(REPLICATED)
-    )
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    assert_golden(
-        "replication_flood_rf1", _replication_flood_observables(REPLICATED)
-    )
-    assert_golden("replication_flood_rf1", _replication_flood_observables(None))
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "on")
-    assert_golden(
-        "replication_flood_rf1",
-        _replication_flood_observables(ReplicationPolicy(rf=1)),
-    )
-
-
-def test_legacy_workloads_unaffected_by_replication_env(monkeypatch):
-    # The per-call env check must be a pure read: default-policy
-    # deployments stay bit-identical whichever way the switch is set.
-    from repro.replication import REPLICATION_ENV_VAR
-
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    assert_golden("drive_deployment", _drive_deployment())
-    assert_golden("flood_32", _flood_observables())
-
-
-def test_series_identical_under_replication_bypass(monkeypatch):
-    from repro.replication import REPLICATION_ENV_VAR
-
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    assert_golden("figures_tiny", _run_figures())
-
-
-def test_series_identical_under_replication_bypass_parallel(monkeypatch):
-    # Checked per call, so --jobs workers inherit the switch via env.
-    from repro.replication import REPLICATION_ENV_VAR
-
-    monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-    parallel = ParallelExperimentRunner(jobs=2)
-    fig5 = figure_5a(TINY, sizes=(1, 2, 4), runner=parallel)
-    fig8 = figure_8a(TINY, node_count=8, max_peers=4, holder_count=2, runner=parallel)
-    assert_golden("figures_tiny", (fig5.series, fig8.series))
-
-
 def _replication_figure_observables(runner) -> tuple:
     """The replication figure under the churn fault plan: every
     per-trial observable, all three schemes in the same sweep."""
@@ -708,6 +392,20 @@ def _replication_figure_observables(runner) -> tuple:
             )
             for t in trials
         ],
+    )
+
+
+def test_replication_figure_self_identical_serial_vs_parallel():
+    # Offers, pushes, invalidations, cache hits and replica answers all
+    # ride the same seeded timeline; the sweep must replay
+    # bit-identically whichever runner executes it.
+    assert_golden("replication_figure", _replication_figure_observables(None))
+    assert_golden(
+        "replication_figure", _replication_figure_observables(ExperimentRunner())
+    )
+    assert_golden(
+        "replication_figure",
+        _replication_figure_observables(ParallelExperimentRunner(jobs=2)),
     )
 
 
@@ -776,17 +474,3 @@ def test_1k_node_flood_identical_sharded_vs_serial(monkeypatch):
     serial = flood()
     for shards in (2, 4):
         assert flood(shards=shards) == serial
-
-
-def test_replication_figure_self_identical_serial_vs_parallel():
-    # Offers, pushes, invalidations, cache hits and replica answers all
-    # ride the same seeded timeline; the sweep must replay
-    # bit-identically whichever runner executes it.
-    assert_golden("replication_figure", _replication_figure_observables(None))
-    assert_golden(
-        "replication_figure", _replication_figure_observables(ExperimentRunner())
-    )
-    assert_golden(
-        "replication_figure",
-        _replication_figure_observables(ParallelExperimentRunner(jobs=2)),
-    )

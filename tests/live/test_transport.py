@@ -131,11 +131,9 @@ class TestLiveEndpoint:
 class TestCompactLiveFraming:
     """Registered control messages cross the live wire as compact frames."""
 
-    def test_registered_message_round_trips(self, endpoints, monkeypatch):
+    def test_registered_message_round_trips(self, endpoints):
         from repro.liglo.messages import PROTO_PING, Ping
-        from repro.net.codec import WIRE_CODEC_ENV_VAR
 
-        monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
         a, b = endpoints(), endpoints()
         received = []
         b.bind(PROTO_PING, lambda src, payload: received.append(payload))
@@ -155,24 +153,6 @@ class TestCompactLiveFraming:
         assert legacy[0] != FRAME_MAGIC  # gzip stream starts 0x1f
         assert _decode_body(compact, DEFAULT_CODEC) == ("liglo.ping", Ping(token=7))
         assert _decode_body(legacy, DEFAULT_CODEC) == ("blob", {"k": "v"})
-
-    def test_pickle_mode_round_trips_and_skips_compact_framing(
-        self, endpoints, monkeypatch
-    ):
-        from repro.liglo.messages import PROTO_PING, Ping
-        from repro.net.codec import FRAME_MAGIC, WIRE_CODEC_ENV_VAR
-        from repro.live.transport import _encode_body
-        from repro.util.compression import DEFAULT_CODEC
-
-        monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-        body = _encode_body("liglo.ping", Ping(token=7), DEFAULT_CODEC)
-        assert body[0] != FRAME_MAGIC
-        a, b = endpoints(), endpoints()
-        received = []
-        b.bind(PROTO_PING, lambda src, payload: received.append(payload))
-        a.send(b.address, PROTO_PING, Ping(token=7))
-        assert wait_until(lambda: received)
-        assert received[0] == Ping(token=7)
 
     def test_corrupt_frame_counted_and_does_not_kill_the_serve_loop(
         self, endpoints
@@ -222,13 +202,12 @@ class TestCompactLiveFraming:
 class TestDataLiveFraming:
     """Data-registered messages cross the live wire as stream frames."""
 
-    def test_answer_round_trips_as_stream_frame(self, endpoints, monkeypatch):
+    def test_answer_round_trips_as_stream_frame(self, endpoints):
         from repro.agents.messages import _sample_answer
         from repro.net import datacodec
         from repro.live.transport import _encode_body
         from repro.util.compression import DEFAULT_CODEC
 
-        monkeypatch.delenv(datacodec.WIRE_DATA_ENV_VAR, raising=False)
         body = _encode_body("live.answer", _sample_answer(), DEFAULT_CODEC)
         assert body[0] == datacodec.FRAME_MAGIC
 
@@ -239,11 +218,9 @@ class TestDataLiveFraming:
         assert wait_until(lambda: received)
         assert received[0] == _sample_answer()
 
-    def test_batch_round_trips_and_stays_a_batch(self, endpoints, monkeypatch):
+    def test_batch_round_trips_and_stays_a_batch(self, endpoints):
         from repro.agents.messages import BatchedAnswers, _sample_answer
-        from repro.net import datacodec
 
-        monkeypatch.delenv(datacodec.WIRE_DATA_ENV_VAR, raising=False)
         batch = BatchedAnswers([_sample_answer(1), _sample_answer(2)])
         a, b = endpoints(), endpoints()
         received = []
@@ -252,20 +229,6 @@ class TestDataLiveFraming:
         assert wait_until(lambda: received)
         assert isinstance(received[0], BatchedAnswers)
         assert received[0] == batch
-
-    def test_pickle_mode_skips_stream_framing(self, monkeypatch):
-        from repro.agents.messages import _sample_answer
-        from repro.net import datacodec
-        from repro.live.transport import _decode_body, _encode_body
-        from repro.util.compression import DEFAULT_CODEC
-
-        monkeypatch.setenv(datacodec.WIRE_DATA_ENV_VAR, "pickle")
-        body = _encode_body("live.answer", _sample_answer(), DEFAULT_CODEC)
-        assert body[0] == 0x1F  # gzip'd pickle, not a stream frame
-        assert _decode_body(body, DEFAULT_CODEC) == (
-            "live.answer",
-            _sample_answer(),
-        )
 
     def test_corrupt_data_frame_counted_and_serve_loop_survives(self, endpoints):
         import socket

@@ -13,10 +13,7 @@ from hypothesis import strategies as st
 from repro.errors import WireCodecError, WireDecodeError, WireEncodeError
 from repro.net import codec as wire
 from repro.net.codec import (
-    CODEC_COMPACT,
-    CODEC_PICKLE,
     FRAME_MAGIC,
-    WIRE_CODEC_ENV_VAR,
     WIRE_FORMAT_VERSION,
     decode_message,
     encode_message,
@@ -25,7 +22,6 @@ from repro.net.codec import (
     registered_specs,
     spec_for_id,
     try_encode,
-    wire_codec_mode,
 )
 
 from .conformance import CodecConformance
@@ -158,39 +154,6 @@ def test_non_compactable_instance_declines_compact_path():
         encode_message(sourced)
     assert try_encode(sourced) is None
     assert spec.accepts(spec.sample())
-
-
-# ---------------------------------------------------------------------------
-# The REPRO_WIRE_CODEC switch
-# ---------------------------------------------------------------------------
-
-
-def test_codec_mode_defaults_to_compact(monkeypatch):
-    monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-    assert wire_codec_mode() == CODEC_COMPACT
-
-
-def test_codec_mode_reads_environment_per_call(monkeypatch):
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    assert wire_codec_mode() == CODEC_PICKLE
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "compact")
-    assert wire_codec_mode() == CODEC_COMPACT
-
-
-def test_codec_mode_normalizes_case_and_whitespace(monkeypatch):
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "  PICKLE ")
-    assert wire_codec_mode() == CODEC_PICKLE
-
-
-def test_codec_mode_empty_value_means_default(monkeypatch):
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "")
-    assert wire_codec_mode() == CODEC_COMPACT
-
-
-def test_codec_mode_rejects_unknown_values(monkeypatch):
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "zstd")
-    with pytest.raises(WireCodecError, match="zstd"):
-        wire_codec_mode()
 
 
 # ---------------------------------------------------------------------------

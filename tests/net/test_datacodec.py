@@ -53,32 +53,6 @@ class TestDataCodecConformance(CodecConformance):
 
 
 # ---------------------------------------------------------------------------
-# Mode selection
-# ---------------------------------------------------------------------------
-
-
-def test_data_mode_defaults_to_stream(monkeypatch):
-    monkeypatch.delenv(data.WIRE_DATA_ENV_VAR, raising=False)
-    assert data.wire_data_mode() == data.DATA_STREAM
-
-
-def test_data_mode_normalizes_case_and_whitespace(monkeypatch):
-    monkeypatch.setenv(data.WIRE_DATA_ENV_VAR, "  PICKLE ")
-    assert data.wire_data_mode() == data.DATA_PICKLE
-
-
-def test_data_mode_empty_value_means_default(monkeypatch):
-    monkeypatch.setenv(data.WIRE_DATA_ENV_VAR, "")
-    assert data.wire_data_mode() == data.DATA_STREAM
-
-
-def test_data_mode_rejects_unknown_values(monkeypatch):
-    monkeypatch.setenv(data.WIRE_DATA_ENV_VAR, "msgpack")
-    with pytest.raises(WireCodecError, match="msgpack"):
-        data.wire_data_mode()
-
-
-# ---------------------------------------------------------------------------
 # Registry / streamable gating
 # ---------------------------------------------------------------------------
 

@@ -11,13 +11,8 @@ from repro.errors import WireDecodeError
 from repro.ids import BPID
 from repro.liglo.messages import PROTO_PING, Ping, Pong
 from repro.net import datacodec
-from repro.net.codec import (
-    CODEC_COMPACT,
-    CODEC_PICKLE,
-    WIRE_CODEC_ENV_VAR,
-    encode_message,
-)
-from repro.net.datacodec import CODEC_STREAM, WIRE_DATA_ENV_VAR
+from repro.net.codec import CODEC_COMPACT, CODEC_PICKLE, encode_message
+from repro.net.datacodec import CODEC_STREAM
 from repro.net.faults import FrameFaultInjector
 from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
 from repro.net.network import Network
@@ -25,12 +20,6 @@ from repro.sim import Simulator
 from repro.util.compression import DEFAULT_CODEC
 from repro.util.serialization import WireEncoder, serialize
 from repro.util.tracing import Tracer
-
-
-@pytest.fixture(autouse=True)
-def _default_codec_mode(monkeypatch):
-    monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-    monkeypatch.delenv(WIRE_DATA_ENV_VAR, raising=False)
 
 
 def _pair():
@@ -83,40 +72,21 @@ def test_lazy_decode_happens_once_and_is_cached():
 
 
 # ---------------------------------------------------------------------------
-# Pickle fallback: mode switch and unregistered payloads
+# Pickle fallback: unregistered payloads
 # ---------------------------------------------------------------------------
 
 
-def test_pickle_mode_ships_pickle_but_charges_the_frame_size(monkeypatch):
-    ping = Ping(token=7)
-    compact_size = _deliver_one(ping)[2]
-
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    network, packet, pickle_size = _deliver_one(ping)
-    assert packet.codec == CODEC_PICKLE
-    assert packet.raw == serialize(ping)
-    assert packet.payload == ping
-    # The charged size must not depend on the selected codec.
-    assert pickle_size == compact_size
-    assert network.encoder.compact_frames == 1  # still took the compact sizing
-
-
-def test_unregistered_payload_takes_gzip_pickle_in_both_modes(monkeypatch):
+def test_unregistered_payload_takes_gzip_pickle():
     payload = {"keyword": "music", "blob": b"x" * 400}
     raw = serialize(payload)
     charged = len(DEFAULT_CODEC.compress(raw))
 
-    for mode in (None, "pickle", "compact"):
-        if mode is None:
-            monkeypatch.delenv(WIRE_CODEC_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(WIRE_CODEC_ENV_VAR, mode)
-        network, packet, wire_size = _deliver_one(payload)
-        assert packet.codec == CODEC_PICKLE
-        assert packet.raw == raw
-        assert wire_size == charged + PACKET_OVERHEAD_BYTES
-        assert packet.payload == payload
-        assert network.encoder.pickle_payloads == 1
+    network, packet, wire_size = _deliver_one(payload)
+    assert packet.codec == CODEC_PICKLE
+    assert packet.raw == raw
+    assert wire_size == charged + PACKET_OVERHEAD_BYTES
+    assert packet.payload == payload
+    assert network.encoder.pickle_payloads == 1
 
 
 def test_decode_never_needs_decompression():
@@ -130,32 +100,26 @@ def test_decode_never_needs_decompression():
 
 
 # ---------------------------------------------------------------------------
-# WireEncoder: per-call env check, cache keyed per codec
+# WireEncoder: cache keyed on payload identity
 # ---------------------------------------------------------------------------
 
 
-def test_encoder_cache_is_keyed_per_codec_mode(monkeypatch):
+@pytest.mark.parametrize(
+    "make", [lambda: Ping(token=9), _sample_answer], ids=["control", "data"]
+)
+def test_encoder_cache_is_keyed_on_payload_identity(make):
     encoder = WireEncoder(DEFAULT_CODEC)
-    ping = Ping(token=9)
+    payload = make()
 
-    compact = encoder.encode(ping)
-    assert compact.codec == CODEC_COMPACT
-    assert encoder.misses == 1
+    first = encoder.encode(payload)
+    assert encoder.encode(payload) is first
+    assert encoder.misses == 1 and encoder.hits == 1
 
-    # The mode is read from the environment on *every* call, so a flip
-    # takes effect immediately — and may never serve the other mode's bytes.
-    monkeypatch.setenv(WIRE_CODEC_ENV_VAR, "pickle")
-    fallback = encoder.encode(ping)
-    assert fallback.codec == CODEC_PICKLE
-    assert fallback.raw == serialize(ping)
-    assert fallback.compressed_size == compact.compressed_size
-    assert encoder.misses == 2 and encoder.hits == 0
-
-    # Both entries stay cached under their own key.
-    assert encoder.encode(ping) is fallback
-    monkeypatch.delenv(WIRE_CODEC_ENV_VAR)
-    assert encoder.encode(ping) is compact
-    assert encoder.hits == 2
+    # An equal but distinct object is a fresh entry with the same bytes.
+    twin = encoder.encode(make())
+    assert twin is not first
+    assert (twin.raw, twin.codec) == (first.raw, first.codec)
+    assert encoder.misses == 2 and encoder.hits == 1
 
 
 def test_encoder_cache_capacity_zero_disables_memoization():
@@ -275,39 +239,6 @@ def test_data_registered_message_travels_as_stream_frame():
     assert network.encoder.data_frames == 1
     assert network.encoder.compact_frames == 0
     assert network.encoder.data_bytes == len(frame)
-
-
-def test_data_pickle_mode_ships_pickle_but_charges_the_frame_size(monkeypatch):
-    answer = _sample_answer()
-    stream_size = _deliver_one(answer, protocol="answer")[2]
-
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    network, packet, pickle_size = _deliver_one(answer, protocol="answer")
-    assert packet.codec == CODEC_PICKLE
-    assert packet.raw == serialize(answer)
-    assert packet.payload == answer
-    # The charged size must not depend on the selected data codec.
-    assert pickle_size == stream_size
-    assert network.encoder.data_frames == 1  # still took the stream sizing
-
-
-def test_encoder_cache_is_keyed_per_data_mode(monkeypatch):
-    encoder = WireEncoder(DEFAULT_CODEC)
-    answer = _sample_answer()
-
-    stream = encoder.encode(answer)
-    assert stream.codec == CODEC_STREAM
-
-    monkeypatch.setenv(WIRE_DATA_ENV_VAR, "pickle")
-    fallback = encoder.encode(answer)
-    assert fallback.codec == CODEC_PICKLE
-    assert fallback.compressed_size == stream.compressed_size
-    assert encoder.misses == 2 and encoder.hits == 0
-
-    assert encoder.encode(answer) is fallback
-    monkeypatch.delenv(WIRE_DATA_ENV_VAR)
-    assert encoder.encode(answer) is stream
-    assert encoder.hits == 2
 
 
 @pytest.mark.parametrize("fault", ["truncated", "bit-flipped", "wrong-version"])

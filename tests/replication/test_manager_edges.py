@@ -1,14 +1,10 @@
-"""Edge branches of the replication manager: races, stragglers, bypasses."""
+"""Edge branches of the replication manager: races, stragglers, inert policies."""
 
 from types import SimpleNamespace
 
 from repro.core.builder import build_network
 from repro.core.config import BestPeerConfig
-from repro.replication import (
-    REPLICATION_ENV_VAR,
-    ReplicaAccept,
-    ReplicationPolicy,
-)
+from repro.replication import ReplicaAccept, ReplicationPolicy
 from repro.storm.heapfile import RecordId
 from repro.topology.builders import line
 
@@ -38,25 +34,6 @@ class TestStragglerFrames:
 
 
 class TestBypassBranches:
-    def test_cached_answers_bypassed(self, monkeypatch):
-        net = deploy(ReplicationPolicy(rf=2, cache_capacity=4))
-        manager = net.base.replication
-        manager.cache_answers("kw", ("answer",))
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-        assert manager.cached_answers("kw") is None
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "on")
-        assert manager.cached_answers("kw") == ("answer",)
-
-    def test_delete_and_reshare_bypassed(self, monkeypatch):
-        net = deploy()
-        owner = net.nodes[1]
-        rid = owner.share(["kw"], b"content")
-        net.sim.run()
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
-        owner.unshare(rid)  # on_delete returns before any invalidate
-        net.sim.run()
-        assert owner.replication.statistics()["invalidations"] == 0
-
     def test_note_query_hits_inactive_without_hot_rf(self):
         net = deploy(ReplicationPolicy(rf=2))
         owner = net.nodes[1]
@@ -68,13 +45,14 @@ class TestBypassBranches:
 
 
 class TestReshareEdges:
-    def test_reshare_of_pre_replication_record_places_fresh(self, monkeypatch):
+    def test_reshare_of_pre_replication_record_places_fresh(self):
         net = deploy()
         owner = net.nodes[1]
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "off")
+        policy = owner.replication.policy
+        owner.replication.policy = ReplicationPolicy()  # inert: rf=1
         rid = owner.share(["kw-old"], b"pre-replication")  # never versioned
         net.sim.run()
-        monkeypatch.setenv(REPLICATION_ENV_VAR, "on")
+        owner.replication.policy = policy
         new_rid = owner.reshare(rid, ["kw-old"], b"now-replicated")
         net.sim.run()
         # Treated as a fresh share: placed, no invalidate sent.
