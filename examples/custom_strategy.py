@@ -12,10 +12,10 @@ Run:  python examples/custom_strategy.py
 """
 
 from repro import BestPeerConfig, build_network, line
-from repro.core.reconfig import PeerObservation, ReconfigurationStrategy
+from repro.core.routing import PeerObservation, RoutingStrategy
 
 
-class LoyaltyStrategy(ReconfigurationStrategy):
+class LoyaltyStrategy(RoutingStrategy):
     """Rank by (this query's answers) + loyalty x (answers ever seen)."""
 
     name = "loyalty"
@@ -47,9 +47,9 @@ def run(strategy_name, strategy=None, rounds=6):
     if strategy is not None:
         net.base.strategy = strategy
     else:
-        from repro.core.reconfig import make_reconfig_strategy
+        from repro.core.routing import make_routing_strategy
 
-        net.base.strategy = make_reconfig_strategy(strategy_name)
+        net.base.strategy = make_routing_strategy(strategy_name)
     net.nodes[5].share(["odd"], b"x" * 64)
     net.nodes[6].share(["even"], b"y" * 64)
     total = 0.0

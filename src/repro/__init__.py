@@ -39,7 +39,6 @@ from repro.core import (
     QueryHandle,
     RoutingStrategy,
     build_network,
-    make_reconfig_strategy,
     make_routing_strategy,
 )
 from repro.errors import ReproError
@@ -66,7 +65,6 @@ __all__ = [
     "MaxCountStrategy",
     "MinHopsStrategy",
     "RoutingStrategy",
-    "make_reconfig_strategy",
     "make_routing_strategy",
     # agents
     "Agent",

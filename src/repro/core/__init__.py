@@ -2,7 +2,6 @@
 
 ``config``    node configuration and cost-model knobs
 ``routing``   pluggable routing strategies (selection + forwarding)
-``reconfig``  the pre-framework strategy surface (compat shim)
 ``peers``     the direct-peer table
 ``query``     query lifecycle: answers, observations, completion
 ``sharing``   static files, active objects, compute shipping
@@ -21,19 +20,15 @@ from repro.core.discovery import (
 from repro.core.node import BestPeerNode
 from repro.core.peers import PeerInfo, PeerTable
 from repro.core.query import QueryHandle
-from repro.core.reconfig import (
+from repro.core.routing import (
+    CostAwareStrategy,
     MaxCountStrategy,
     MinHopsStrategy,
     PeerObservation,
-    RandomReplacementStrategy,
-    ReconfigurationStrategy,
-    StaticStrategy,
-    make_reconfig_strategy,
-)
-from repro.core.routing import (
-    CostAwareStrategy,
     QueryHistoryStrategy,
+    RandomReplacementStrategy,
     RoutingStrategy,
+    StaticStrategy,
     SuperPeerStrategy,
     make_routing_strategy,
     registered_strategies,
@@ -56,13 +51,11 @@ __all__ = [
     "PeerTable",
     "PeerInfo",
     "QueryHandle",
-    "ReconfigurationStrategy",
     "MaxCountStrategy",
     "MinHopsStrategy",
     "RandomReplacementStrategy",
     "StaticStrategy",
     "PeerObservation",
-    "make_reconfig_strategy",
     "RoutingStrategy",
     "QueryHistoryStrategy",
     "SuperPeerStrategy",

@@ -39,8 +39,7 @@ from repro.core.discovery import (
 )
 from repro.core.peers import PeerInfo, PeerTable
 from repro.core.query import QueryHandle
-from repro.core.reconfig import PeerObservation, ReconfigurationStrategy
-from repro.core.routing import make_routing_strategy
+from repro.core.routing import PeerObservation, RoutingStrategy, make_routing_strategy
 from repro.core.sharing import (
     PROTO_ACTIVE,
     PROTO_ACTIVE_REPLY,
@@ -86,7 +85,7 @@ class BestPeerNode:
         name: str,
         config: BestPeerConfig | None = None,
         storm: StorM | None = None,
-        strategy: ReconfigurationStrategy | None = None,
+        strategy: RoutingStrategy | None = None,
         tracer: Tracer | None = None,
     ):
         self.config = config if config is not None else BestPeerConfig()
@@ -155,9 +154,7 @@ class BestPeerNode:
         #: inert (no frames, no stores) under the default rf=1 policy
         self.replication = ReplicationManager(self)
         self.replication.bind()
-        bind = getattr(self.strategy, "bind", None)
-        if bind is not None:
-            bind(self)
+        self.strategy.bind(self)
 
     # -- identity & membership -------------------------------------------------
 
@@ -223,10 +220,7 @@ class BestPeerNode:
         context (the engine forwards clones before executing the agent),
         so keyword-aware ordering only applies at the initiator.
         """
-        flood = getattr(self.strategy, "flood_targets", None)
-        if flood is None:
-            return self.peers.live_addresses()
-        return flood(None, self.peers.entries())
+        return self.strategy.flood_targets(None, self.peers.entries())
 
     def leave(self) -> None:
         """Disconnect from the network (the address lease is released)."""
@@ -400,10 +394,7 @@ class BestPeerNode:
         without routing by it), and only for keywords not reported
         before, so repeated sharing costs no extra control traffic.
         """
-        if not (
-            self.config.publish_hints
-            or getattr(self.strategy, "uses_hint_directory", False)
-        ):
+        if not (self.config.publish_hints or self.strategy.uses_hint_directory):
             return
         if self.liglo.bpid is None or not self.host.online:
             return
@@ -525,10 +516,7 @@ class BestPeerNode:
             # but the caller can see its answer set may be partial.
             handle.mark_degraded("suspect-peer-skipped")
         ttl_value = ttl if ttl is not None else self.config.ttl
-        if (
-            getattr(self.strategy, "uses_hint_directory", False)
-            and self.liglo.bpid is not None
-        ):
+        if self.strategy.uses_hint_directory and self.liglo.bpid is not None:
             self._dispatch_with_hints(handle, agent, ttl_value)
         else:
             self._dispatch_flood(handle, agent, ttl_value)
@@ -545,22 +533,14 @@ class BestPeerNode:
         return handle
 
     def _dispatch_flood(self, handle: QueryHandle, agent: Agent, ttl: int) -> None:
-        """Flood the search agent, fan-out shaped by the routing strategy.
-
-        With a strategy predating the routing framework the engine pulls
-        the fan-out from :meth:`_flood_addresses` itself.
-        """
+        """Flood the search agent, fan-out shaped by the routing strategy."""
         assert self.engine is not None
-        targets = None
-        flood = getattr(self.strategy, "flood_targets", None)
-        if flood is not None:
-            targets = flood(handle.keyword, self.peers.entries())
         self.engine.dispatch(
             agent,
             query_id=handle.query_id,
             ttl=ttl,
             mode=MODE_FLOOD,
-            targets=targets,
+            targets=self.strategy.flood_targets(handle.keyword, self.peers.entries()),
         )
 
     def _dispatch_with_hints(
@@ -706,16 +686,10 @@ class BestPeerNode:
 
     def _reconfigure(self, handle: QueryHandle) -> None:
         observations = self._observations_from(handle)
-        observe = getattr(self.strategy, "observe", None)
-        if observe is not None:
-            observe(handle.keyword, observations)
-        selector = getattr(self.strategy, "select_for", None)
-        if selector is not None:
-            selected = selector(
-                observations, self.config.max_direct_peers, keyword=handle.keyword
-            )
-        else:  # a pre-framework strategy with only the two-arg contract
-            selected = self.strategy.select(observations, self.config.max_direct_peers)
+        self.strategy.observe(handle.keyword, observations)
+        selected = self.strategy.select_for(
+            observations, self.config.max_direct_peers, keyword=handle.keyword
+        )
         before = set(self.peers.bpids())
         now = self.sim.now
         new_entries = []

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 from repro.agents.messages import AnswerMessage, BatchedAnswers
 from repro.agents.storm_agent import StorMSearchAgent
-from repro.core.reconfig import MaxCountStrategy, PeerObservation
+from repro.core.routing import MaxCountStrategy, PeerObservation
 from repro.errors import BestPeerError
 from repro.ids import BPID, QueryId, SerialCounter
 from repro.live.engine import PROTO_ANSWER, LiveAgentEngine

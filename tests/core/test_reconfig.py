@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.reconfig import (
+from repro.core.routing import (
     MaxCountStrategy,
     MinHopsStrategy,
     PeerObservation,
     RandomReplacementStrategy,
     StaticStrategy,
-    make_reconfig_strategy,
 )
+from repro.core.routing import make_routing_strategy as make_reconfig_strategy
 from repro.errors import BestPeerError
 from repro.ids import BPID
 from repro.net.address import IPAddress
