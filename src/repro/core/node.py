@@ -38,6 +38,7 @@ from repro.core.discovery import (
     KnowledgeBase,
 )
 from repro.core.peers import PeerInfo, PeerTable
+from repro.core.pending import PendingRequests
 from repro.core.query import QueryHandle
 from repro.core.routing import PeerObservation, RoutingStrategy, make_routing_strategy
 from repro.core.sharing import (
@@ -114,22 +115,20 @@ class BestPeerNode:
         self.engine: AgentEngine | None = None
         self._queries: dict[QueryId, QueryHandle] = {}
         self._query_serials = SerialCounter()
-        self._fetch_tokens = SerialCounter()
-        #: token -> (callback, holder address, rid, failures so far)
-        self._pending_fetches: dict[
-            int,
-            tuple[Callable[[FetchReply | None], None], IPAddress, RecordId, int],
-        ] = {}
-        #: token -> (callback, owner address, name, credential, failures)
-        self._pending_actives: dict[
-            int,
-            tuple[Callable[[ActiveReply | None], None], IPAddress, str, str, int],
-        ] = {}
+        #: one token space for every timed request kind below
+        request_tokens = SerialCounter()
+        self._pending_fetches = PendingRequests(
+            self, "fetch", PROTO_FETCH, request_tokens
+        )
+        self._pending_actives = PendingRequests(
+            self, "active", PROTO_ACTIVE, request_tokens
+        )
+        self._pending_data = PendingRequests(
+            self, "data", PROTO_DATA_REQUEST, request_tokens
+        )
         self.shipping = make_shipping_policy(self.config.shipping_policy)
         self._estimates: dict[BPID, PeerEstimate] = {}
         self._data_cache: dict[BPID, list] = {}
-        #: token -> (peer bpid, handle, peer address, failures, expiry timer)
-        self._pending_data: dict[int, tuple] = {}
         #: request timeouts by kind (fetch / active / data)
         self.request_timeouts: dict[str, int] = {}
         #: re-sends triggered by the retry policy (excludes LIGLO retries,
@@ -837,7 +836,7 @@ class BestPeerNode:
             elif estimate.cached:
                 self._answer_from_cache(handle, peer.bpid, peer.address)
             else:
-                self._send_data_request(peer.bpid, handle, peer.address, failures=0)
+                self._send_data_request(peer.bpid, handle, peer.address)
         if code_targets:
             agent = StorMSearchAgent(
                 keyword,
@@ -915,34 +914,9 @@ class BestPeerNode:
             self.host.send(dst, PROTO_DATA_REPLY, reply)
 
     def _send_data_request(
-        self, bpid: BPID, handle: QueryHandle, address: IPAddress, failures: int
+        self, bpid: BPID, handle: QueryHandle, address: IPAddress
     ) -> None:
-        token = self._fetch_tokens.next()
-        timer = self.sim.schedule(self.config.fetch_timeout, self._expire_data, token)
-        self._pending_data[token] = (bpid, handle, address, failures, timer)
-        self.host.send(address, PROTO_DATA_REQUEST, DataRequest(token))
-
-    def _retry_data(
-        self, bpid: BPID, handle: QueryHandle, address: IPAddress, failures: int
-    ) -> None:
-        if not self.host.online or handle.finished:
-            return
-        self._send_data_request(bpid, handle, address, failures)
-
-    def _expire_data(self, token: int) -> None:
-        pending = self._pending_data.pop(token, None)
-        if pending is None:
-            return
-        bpid, handle, address, failures, _timer = pending
-        failures += 1
-        self._charge_timeout("data", bpid)
-        if not handle.finished and self._retries_left(failures):
-            self.request_retries += 1
-            self.sim.schedule(
-                self._retry_after(failures), self._retry_data, bpid, handle, address, failures
-            )
-            return
-        if not handle.finished:
+        def give_up() -> None:
             # Graceful degradation: the query completes with whatever
             # other peers returned, flagged partial with the cause.
             handle.mark_degraded("data-timeout")
@@ -950,14 +924,20 @@ class BestPeerNode:
                 self.sim.now, "node", "data-timeout", node=self.name, peer=str(bpid)
             )
 
+        self._pending_data.send(
+            address,
+            DataRequest,
+            lambda packet: self._on_data(bpid, handle, packet),
+            give_up,
+            bpid=bpid,
+            query=handle,
+        )
+
     def _on_data_reply(self, packet: Packet) -> None:
+        self._pending_data.reply(packet.payload.token, packet)
+
+    def _on_data(self, bpid: BPID, handle: QueryHandle, packet: Packet) -> None:
         reply: DataReply = packet.payload
-        pending = self._pending_data.pop(reply.token, None)
-        if pending is None:
-            return
-        bpid, handle, _address, _failures, timer = pending
-        timer.cancel()
-        self.peers.note_alive(bpid, self.sim.now)
         self._data_cache[bpid] = list(reply.objects)
         estimate = self._estimates.setdefault(bpid, PeerEstimate())
         estimate.store_bytes = reply.total_bytes
@@ -980,31 +960,12 @@ class BestPeerNode:
         With a retry policy configured, a timed-out fetch re-sends per
         the backoff schedule before the callback sees None.
         """
-        self._send_fetch(holder, rid, callback, failures=0)
-
-    def _send_fetch(
-        self,
-        holder: IPAddress,
-        rid: RecordId,
-        callback: Callable[[FetchReply | None], None],
-        failures: int,
-    ) -> None:
-        token = self._fetch_tokens.next()
-        self._pending_fetches[token] = (callback, holder, rid, failures)
-        self.host.send(holder, PROTO_FETCH, FetchRequest(token, rid))
-        self.sim.schedule(self.config.fetch_timeout, self._expire_fetch, token)
-
-    def _retry_fetch(
-        self,
-        holder: IPAddress,
-        rid: RecordId,
-        callback: Callable[[FetchReply | None], None],
-        failures: int,
-    ) -> None:
-        if not self.host.online:
-            callback(None)
-            return
-        self._send_fetch(holder, rid, callback, failures)
+        self._pending_fetches.send(
+            holder,
+            lambda token: FetchRequest(token, rid),
+            lambda packet: callback(packet.payload),
+            lambda: callback(None),
+        )
 
     def _on_fetch(self, packet: Packet) -> None:
         request: FetchRequest = packet.payload
@@ -1022,29 +983,7 @@ class BestPeerNode:
         self.host.send(packet.src, PROTO_FETCH_REPLY, reply)
 
     def _on_fetch_reply(self, packet: Packet) -> None:
-        reply: FetchReply = packet.payload
-        record = self._pending_fetches.pop(reply.token, None)
-        if record is None:
-            return
-        bpid = self._bpid_for_address(packet.src)
-        if bpid is not None:
-            self.peers.note_alive(bpid, self.sim.now)
-        record[0](reply)
-
-    def _expire_fetch(self, token: int) -> None:
-        record = self._pending_fetches.pop(token, None)
-        if record is None:
-            return
-        callback, holder, rid, failures = record
-        failures += 1
-        self._charge_timeout("fetch", self._bpid_for_address(holder))
-        if self._retries_left(failures):
-            self.request_retries += 1
-            self.sim.schedule(
-                self._retry_after(failures), self._retry_fetch, holder, rid, callback, failures
-            )
-            return
-        callback(None)
+        self._pending_fetches.reply(packet.payload.token, packet)
 
     # -- active objects ---------------------------------------------------------------------
 
@@ -1056,34 +995,12 @@ class BestPeerNode:
         callback: Callable[[ActiveReply | None], None],
     ) -> None:
         """Ask a peer's active object for content under ``credential``."""
-        self._send_active(owner, name, credential, callback, failures=0)
-
-    def _send_active(
-        self,
-        owner: IPAddress,
-        name: str,
-        credential: str,
-        callback: Callable[[ActiveReply | None], None],
-        failures: int,
-    ) -> None:
-        token = self._fetch_tokens.next()
-        self._pending_actives[token] = (callback, owner, name, credential, failures)
-        request = ActiveRequest(token, name, self.bpid, credential)
-        self.host.send(owner, PROTO_ACTIVE, request)
-        self.sim.schedule(self.config.fetch_timeout, self._expire_active, token)
-
-    def _retry_active(
-        self,
-        owner: IPAddress,
-        name: str,
-        credential: str,
-        callback: Callable[[ActiveReply | None], None],
-        failures: int,
-    ) -> None:
-        if not self.host.online:
-            callback(None)
-            return
-        self._send_active(owner, name, credential, callback, failures)
+        self._pending_actives.send(
+            owner,
+            lambda token: ActiveRequest(token, name, self.bpid, credential),
+            lambda packet: callback(packet.payload),
+            lambda: callback(None),
+        )
 
     def _on_active(self, packet: Packet) -> None:
         request: ActiveRequest = packet.payload
@@ -1103,35 +1020,7 @@ class BestPeerNode:
         self.host.send(packet.src, PROTO_ACTIVE_REPLY, reply)
 
     def _on_active_reply(self, packet: Packet) -> None:
-        reply: ActiveReply = packet.payload
-        record = self._pending_actives.pop(reply.token, None)
-        if record is None:
-            return
-        bpid = self._bpid_for_address(packet.src)
-        if bpid is not None:
-            self.peers.note_alive(bpid, self.sim.now)
-        record[0](reply)
-
-    def _expire_active(self, token: int) -> None:
-        record = self._pending_actives.pop(token, None)
-        if record is None:
-            return
-        callback, owner, name, credential, failures = record
-        failures += 1
-        self._charge_timeout("active", self._bpid_for_address(owner))
-        if self._retries_left(failures):
-            self.request_retries += 1
-            self.sim.schedule(
-                self._retry_after(failures),
-                self._retry_active,
-                owner,
-                name,
-                credential,
-                callback,
-                failures,
-            )
-            return
-        callback(None)
+        self._pending_actives.reply(packet.payload.token, packet)
 
     # -- introspection ------------------------------------------------------------------
 
