@@ -162,3 +162,21 @@ class TestNodeReceivesBatch:
         net.sim.run()
         assert handle.network_answer_count == 3
         assert tuple(handle.answers) == answers
+
+
+class TestLazyBatch:
+    def test_decoded_batch_counts_before_materializing(self):
+        from repro.agents.messages import _sample_answer
+        from repro.net import datacodec
+
+        datacodec.load_registrations()
+        batch = BatchedAnswers([_sample_answer(1), _sample_answer(2)])
+        lazy = datacodec.decode_message(datacodec.encode_message(batch))
+        assert not lazy.materialized
+        assert len(lazy) == 2  # record boundaries only, no decode yet
+        assert not lazy.materialized
+        assert list(lazy) == list(batch.answers)
+        assert lazy.materialized and len(lazy) == 2
+        assert lazy == batch
+        assert lazy != batch.answers[0]
+        assert repr(lazy) == f"BatchedAnswers(answers={batch.answers!r})"

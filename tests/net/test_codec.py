@@ -156,6 +156,26 @@ def test_non_compactable_instance_declines_compact_path():
     assert spec.accepts(spec.sample())
 
 
+@pytest.mark.parametrize(
+    "codec, value, match",
+    [
+        (wire.BOOL, 1, "not a bool"),
+        (wire.STR, b"bytes", "not a str"),
+        (wire.STR, "x" * 0x10000, "exceeds u16 length"),
+        (wire.BYTES, "text", "not bytes"),
+        (wire.seq(wire.U8), 7, "not a sequence"),
+        (wire.seq(wire.U8), [0] * 0x10000, "exceeds u16 count"),
+        (wire.pair(wire.U8, wire.U8), (1, 2, 3), "not a 2-tuple"),
+    ],
+    ids=["bool", "str-type", "str-length", "bytes", "seq-type", "seq-count", "pair"],
+)
+def test_field_codecs_reject_values_outside_their_layout(codec, value, match):
+    # Encode-side problems are WireEncodeError, which try_encode turns
+    # into the pickle fallback rather than a corrupt frame.
+    with pytest.raises(WireEncodeError, match=match):
+        codec.pack(value, bytearray())
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis: round trip over the whole value space, not just samples
 # ---------------------------------------------------------------------------
