@@ -311,21 +311,6 @@ class BestPeerNode:
                 self.sim.now, "node", "peer-suspect", node=self.name, peer=str(bpid)
             )
 
-    def _bpid_for_address(self, address: IPAddress) -> BPID | None:
-        """Direct peer currently known at ``address`` (None otherwise)."""
-        for peer in self.peers.entries():
-            if peer.address == address:
-                return peer.bpid
-        return None
-
-    def _retries_left(self, failures: int) -> bool:
-        policy = self.config.retry_policy
-        return policy is not None and policy.should_retry(failures)
-
-    def _retry_after(self, failures: int) -> float:
-        assert self.config.retry_policy is not None
-        return self.config.retry_policy.delay(failures, self._retry_rng)
-
     # -- peer management ---------------------------------------------------------
 
     def add_peer(self, bpid: BPID, address: IPAddress) -> None:

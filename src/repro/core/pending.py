@@ -12,6 +12,7 @@ giving up means.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.ids import BPID, SerialCounter
@@ -24,33 +25,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (node -> pending)
     from repro.sim.kernel import Timer
 
 
+@dataclass(slots=True)
 class _Request:
     """One outstanding exchange, carried across its re-sends."""
 
-    __slots__ = (
-        "address",
-        "build",
-        "on_reply",
-        "give_up",
-        "bpid",
-        "query",
-        "failures",
-        "timer",
-    )
-
-    def __init__(self, address, build, on_reply, give_up, bpid, query):
-        self.address: IPAddress = address
-        self.build: Callable[[int], Any] = build
-        self.on_reply: Callable[["Packet"], None] = on_reply
-        self.give_up: Callable[[], None] = give_up
-        self.bpid: BPID | None = bpid
-        self.query: "QueryHandle | None" = query
-        self.failures = 0
-        self.timer: "Timer | None" = None
+    address: IPAddress
+    build: Callable[[int], Any]
+    on_reply: Callable[["Packet"], None]
+    give_up: Callable[[], None]
+    bpid: BPID | None
+    query: "QueryHandle | None"
+    failures: int = 0
+    timer: "Timer | None" = None
 
 
 class PendingRequests:
-    """Outstanding requests of one kind, keyed by their wire token."""
+    """Outstanding requests of one kind, keyed by their wire token.
+
+    Each send arms an expiry timer before the request leaves; the reply
+    cancels it, so a settled exchange leaves nothing on the event heap.
+    """
 
     def __init__(
         self,
@@ -68,15 +62,6 @@ class PendingRequests:
 
     def __len__(self) -> int:
         return len(self._open)
-
-    @property
-    def armed_timers(self) -> int:
-        """Expiry timers still set to fire (leak auditing)."""
-        return sum(
-            1
-            for request in self._open.values()
-            if request.timer is not None and not request.timer.cancelled
-        )
 
     def send(
         self,
@@ -111,12 +96,9 @@ class PendingRequests:
         if request is None:
             return
         request.timer.cancel()
-        node = self.node
-        bpid = request.bpid
-        if bpid is None:
-            bpid = node._bpid_for_address(packet.src)
+        bpid = self._peer(request, packet.src)
         if bpid is not None:
-            node.peers.note_alive(bpid, node.sim.now)
+            self.node.peers.note_alive(bpid, self.node.sim.now)
         request.on_reply(packet)
 
     def _expire(self, token: int) -> None:
@@ -125,17 +107,14 @@ class PendingRequests:
             return
         request.failures += 1
         node = self.node
-        bpid = request.bpid
-        if bpid is None:
-            bpid = node._bpid_for_address(request.address)
-        node._charge_timeout(self.kind, bpid)
+        node._charge_timeout(self.kind, self._peer(request, request.address))
         if request.query is not None and request.query.finished:
             return
-        if node._retries_left(request.failures):
+        policy = node.config.retry_policy
+        if policy is not None and policy.should_retry(request.failures):
             node.request_retries += 1
-            node.sim.schedule(
-                node._retry_after(request.failures), self._retry, request
-            )
+            delay = policy.delay(request.failures, node._retry_rng)
+            node.sim.schedule(delay, self._retry, request)
             return
         request.give_up()
 
@@ -146,3 +125,12 @@ class PendingRequests:
             request.give_up()
             return
         self._send(request)
+
+    def _peer(self, request: _Request, address: IPAddress) -> BPID | None:
+        """The request's named peer, else the direct peer at ``address``."""
+        if request.bpid is not None:
+            return request.bpid
+        for peer in self.node.peers.entries():
+            if peer.address == address:
+                return peer.bpid
+        return None

@@ -76,7 +76,7 @@ def armed(table):
 def test_reply_clears_token_and_timer(kind):
     net, peer, rid = deploy(POLICY)
     table, probe = start(kind, net, peer.host.address, rid)
-    assert len(table) == 1 and table.armed_timers == 1
+    assert len(table) == 1 and len(armed(table)) == 1
     # Well before the timeout would fire: the reply alone must settle it.
     net.sim.run(until=net.sim.now + net.base.config.fetch_timeout / 2)
     assert probe() == "reply"
