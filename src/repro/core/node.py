@@ -136,11 +136,11 @@ class BestPeerNode:
         self.request_retries = 0
         self.host.bind(PROTO_ANSWER, self._on_answer)
         self.host.bind(PROTO_FETCH, self._on_fetch)
-        self.host.bind(PROTO_FETCH_REPLY, self._on_fetch_reply)
+        self.host.bind(PROTO_FETCH_REPLY, self._pending_fetches.reply)
         self.host.bind(PROTO_ACTIVE, self._on_active)
-        self.host.bind(PROTO_ACTIVE_REPLY, self._on_active_reply)
+        self.host.bind(PROTO_ACTIVE_REPLY, self._pending_actives.reply)
         self.host.bind(PROTO_DATA_REQUEST, self._on_data_request)
-        self.host.bind(PROTO_DATA_REPLY, self._on_data_reply)
+        self.host.bind(PROTO_DATA_REPLY, self._pending_data.reply)
         self.knowledge = KnowledgeBase()
         self.host.bind(PROTO_DISCOVERY_REPORT, self._on_discovery_report)
         #: keywords already reported to our LIGLO's hint directory
@@ -471,7 +471,7 @@ class BestPeerNode:
                 if auto_finish_after is not None:
                     self._arm_auto_finish(handle, auto_finish_after)
                 return handle
-            if self.replication.enabled and self.replication.policy.replicates:
+            if self.replication.policy.replicates:
                 # Replica-aware searches ship a different (slightly
                 # larger) agent class, so they are dispatched only when
                 # the initiator's policy actually places replicas —
@@ -918,9 +918,6 @@ class BestPeerNode:
             query=handle,
         )
 
-    def _on_data_reply(self, packet: Packet) -> None:
-        self._pending_data.reply(packet.payload.token, packet)
-
     def _on_data(self, bpid: BPID, handle: QueryHandle, packet: Packet) -> None:
         reply: DataReply = packet.payload
         self._data_cache[bpid] = list(reply.objects)
@@ -967,9 +964,6 @@ class BestPeerNode:
                 reply = FetchReply(request.token, request.rid, None, found=False)
         self.host.send(packet.src, PROTO_FETCH_REPLY, reply)
 
-    def _on_fetch_reply(self, packet: Packet) -> None:
-        self._pending_fetches.reply(packet.payload.token, packet)
-
     # -- active objects ---------------------------------------------------------------------
 
     def request_active(
@@ -1003,9 +997,6 @@ class BestPeerNode:
                     request.token, request.name, None, granted=False, reason=str(exc)
                 )
         self.host.send(packet.src, PROTO_ACTIVE_REPLY, reply)
-
-    def _on_active_reply(self, packet: Packet) -> None:
-        self._pending_actives.reply(packet.payload.token, packet)
 
     # -- introspection ------------------------------------------------------------------
 

@@ -90,9 +90,9 @@ class PendingRequests:
         self._open[token] = request
         node.host.send(request.address, self.protocol, request.build(token))
 
-    def reply(self, token: int, packet: "Packet") -> None:
-        """Deliver the reply carrying ``token`` (stale tokens are ignored)."""
-        request = self._open.pop(token, None)
+    def reply(self, packet: "Packet") -> None:
+        """Host handler for this kind's replies; stale tokens are ignored."""
+        request = self._open.pop(packet.payload.token, None)
         if request is None:
             return
         request.timer.cancel()

@@ -142,11 +142,6 @@ class ReplicationManager:
     # -- lifecycle ---------------------------------------------------------------
 
     @property
-    def enabled(self) -> bool:
-        """True when the policy asks for anything."""
-        return self.policy.active
-
-    @property
     def replicas_held(self) -> int:
         """Replica copies this node currently holds for other owners."""
         return len(self._copies)
@@ -180,7 +175,7 @@ class ReplicationManager:
 
     def on_share(self, rids: Sequence[RecordId]) -> None:
         """A batch of records just landed in the node's sharable store."""
-        if not self.enabled:
+        if not self.policy.active:
             return
         for rid in rids:
             if rid not in self._versions:
@@ -194,7 +189,7 @@ class ReplicationManager:
 
     def flush_pending(self) -> None:
         """Place records that were shared before the node joined."""
-        if not self._pending_share or not self.enabled:
+        if not self._pending_share or not self.policy.active:
             return
         if self.node.engine is None or not self.node.host.online:
             return
@@ -251,7 +246,7 @@ class ReplicationManager:
         over-place; an invalidate racing ahead of its push is harmless
         because the holder tombstones first.
         """
-        if extra_copies < 1 or not self.enabled:
+        if extra_copies < 1 or not self.policy.active:
             return
         candidates = self._candidates()
         if not candidates:
@@ -334,7 +329,7 @@ class ReplicationManager:
         genuinely unreachable, which bounds the retry: each extra
         attempt needs a *new* address.
         """
-        if not self.enabled or self.node.engine is None:
+        if not self.policy.active or self.node.engine is None:
             return
 
         def resolved(reply) -> None:

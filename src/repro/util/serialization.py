@@ -108,10 +108,9 @@ class WireEncoder:
 
     Encoding is memoized on *payload identity*: a fan-out loop that
     sends the same envelope object to N peers pays one encoding instead
-    of N.  Each cache entry
-    keeps a strong reference to its payload so an ``id()`` can never be
-    reused while the entry is live; the ``is`` check on lookup makes a
-    stale hit impossible.
+    of N.  Each cache entry keeps a strong reference to its payload so
+    an ``id()`` can never be reused while the entry is live; the ``is``
+    check on lookup makes a stale hit impossible.
 
     The cache assumes payloads are not mutated between sends — true for
     every protocol message in this library (frozen dataclasses, tuples,
