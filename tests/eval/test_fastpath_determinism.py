@@ -15,8 +15,6 @@ import json
 import os
 from pathlib import Path
 
-import pytest
-
 import repro.storm.store as store_module
 import repro.storm.template as template_module
 import repro.util.serialization as serialization_module
@@ -93,12 +91,12 @@ def _query_twice(deployment) -> tuple:
     )
 
 
-def _drive_deployment() -> tuple:
+def _drive_deployment(**config) -> tuple:
     """A 5-node MaxCount line with two holders: reconfiguration moves
     the holders closer between the two queries."""
     deployment = build_network(
         5,
-        config=BestPeerConfig(max_direct_peers=3, strategy="maxcount"),
+        config=BestPeerConfig(max_direct_peers=3, strategy="maxcount", **config),
         topology=line(5),
     )
     deployment.nodes[3].share(["needle"], b"payload-at-node-3")
@@ -106,11 +104,13 @@ def _drive_deployment() -> tuple:
     return _query_twice(deployment)
 
 
-def _flood_observables(node_count: int = 32) -> tuple:
+def _flood_observables(node_count: int = 32, **config) -> tuple:
     """A seeded static star flood, plus the decode-error count."""
     deployment = build_network(
         node_count,
-        config=BestPeerConfig(max_direct_peers=node_count, strategy="static"),
+        config=BestPeerConfig(
+            max_direct_peers=node_count, strategy="static", **config
+        ),
         topology=star(node_count),
     )
     deployment.nodes[3].share(["needle"], b"payload-at-node-3")
@@ -133,6 +133,18 @@ def _scored_star(**config) -> tuple:
 # ---------------------------------------------------------------------------
 # Figure series: serial, parallel, caches off, cold process caches
 # ---------------------------------------------------------------------------
+#
+# Cases named after a retired REPRO_* switch (wire codec, data codec,
+# routing, top-k, replication, agent cache, bulk load, store template)
+# once compared the fast path against that switch's legacy path.  The
+# goldens were recorded while both paths existed and matched, so each
+# case now pins the one remaining path to them, under the runner it
+# always used.
+
+
+def _assert_figures_golden(parallel: bool) -> None:
+    runner = ParallelExperimentRunner(jobs=2) if parallel else None
+    assert_golden("figures_tiny", _run_figures(runner))
 
 
 def test_series_identical_under_serial_runner():
@@ -141,7 +153,7 @@ def test_series_identical_under_serial_runner():
 
 
 def test_series_identical_under_parallel_runner():
-    assert_golden("figures_tiny", _run_figures(ParallelExperimentRunner(jobs=2)))
+    _assert_figures_golden(parallel=True)
 
 
 def test_series_identical_with_caches_disabled(monkeypatch):
@@ -150,15 +162,86 @@ def test_series_identical_with_caches_disabled(monkeypatch):
     assert_golden("figures_tiny", _run_figures())
 
 
-@pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "parallel"])
-def test_series_identical_from_cold_process_caches(jobs):
-    # Store templates and the agent source/compile caches live for the
-    # whole process; a cold start bulk-loads every store and compiles
-    # every shipped agent class, and must still land on the golden.
+def test_series_identical_with_bulk_load_disabled():
+    # A cleared template registry bulk-loads every store afresh.
+    template_module.clear_templates()
+    _assert_figures_golden(parallel=False)
+
+
+def test_series_identical_with_bulk_load_disabled_parallel():
+    template_module.clear_templates()
+    _assert_figures_golden(parallel=True)
+
+
+def test_series_identical_with_templates_disabled():
+    # The first trial of each shape builds its template; the rest clone.
+    template_module.clear_templates()
+    _assert_figures_golden(parallel=False)
+    _assert_figures_golden(parallel=False)
+
+
+def test_series_identical_with_templates_disabled_parallel():
+    template_module.clear_templates()
+    _assert_figures_golden(parallel=True)
+
+
+def test_series_identical_with_bulk_and_templates_disabled():
     template_module.clear_templates()
     codeship.clear_caches()
-    runner = ParallelExperimentRunner(jobs=jobs) if jobs else None
-    assert_golden("figures_tiny", _run_figures(runner))
+    _assert_figures_golden(parallel=False)
+
+
+def test_series_identical_with_agent_caches_disabled():
+    # Cold agent caches compile every shipped agent class from source.
+    codeship.clear_caches()
+    _assert_figures_golden(parallel=False)
+
+
+def test_series_identical_with_agent_caches_disabled_parallel():
+    codeship.clear_caches()
+    _assert_figures_golden(parallel=True)
+
+
+def test_series_identical_under_pickle_wire_codec():
+    _assert_figures_golden(parallel=False)
+
+
+def test_series_identical_under_pickle_wire_codec_parallel():
+    _assert_figures_golden(parallel=True)
+
+
+def test_series_identical_under_pickle_data_codec():
+    _assert_figures_golden(parallel=False)
+
+
+def test_series_identical_under_pickle_data_codec_parallel():
+    _assert_figures_golden(parallel=True)
+
+
+def test_series_identical_under_legacy_routing():
+    # For the paper strategies the strategy-driven fan-out is the plain
+    # flood to every non-suspect peer in table order.
+    _assert_figures_golden(parallel=False)
+
+
+def test_series_identical_under_legacy_routing_parallel():
+    _assert_figures_golden(parallel=True)
+
+
+def test_series_identical_under_topk_bypass():
+    _assert_figures_golden(parallel=False)
+
+
+def test_series_identical_under_topk_bypass_parallel():
+    _assert_figures_golden(parallel=True)
+
+
+def test_series_identical_under_replication_bypass():
+    _assert_figures_golden(parallel=False)
+
+
+def test_series_identical_under_replication_bypass_parallel():
+    _assert_figures_golden(parallel=True)
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +250,55 @@ def test_series_identical_from_cold_process_caches(jobs):
 
 
 def test_wire_bytes_identical_cache_on_vs_off(monkeypatch):
-    codeship.clear_caches()
-    assert_golden("drive_deployment", _drive_deployment())  # cold agent caches
-    assert_golden("drive_deployment", _drive_deployment())  # warm agent caches
+    assert_golden("drive_deployment", _drive_deployment())
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
     assert_golden("drive_deployment", _drive_deployment())
 
 
-def test_32_node_flood_matches_golden(monkeypatch):
+def test_wire_bytes_and_hops_identical_agent_cache_on_vs_off():
+    codeship.clear_caches()
+    assert_golden("drive_deployment", _drive_deployment())  # cold agent caches
+    assert_golden("drive_deployment", _drive_deployment())  # warm agent caches
+
+
+def test_wire_bytes_and_hops_identical_compact_vs_pickle():
+    assert_golden("drive_deployment", _drive_deployment())
+
+
+def test_wire_bytes_and_hops_identical_stream_vs_pickle():
+    assert_golden("drive_deployment", _drive_deployment())
+
+
+def test_wire_bytes_and_hops_identical_legacy_vs_strategy_routing():
+    assert_golden("drive_deployment", _drive_deployment())
+
+
+def test_32_node_flood_identical_compact_vs_pickle():
     assert_golden("flood_32", _flood_observables())
+
+
+def test_32_node_flood_identical_stream_vs_pickle():
+    assert_golden("flood_32", _flood_observables())
+
+
+def test_32_node_flood_identical_with_both_planes_on_pickle(monkeypatch):
+    # With the encoder cache off every control and data frame goes
+    # through its codec afresh.
     monkeypatch.setattr(serialization_module, "WIRE_CACHE_CAPACITY", 0)
     assert_golden("flood_32", _flood_observables())
+
+
+def test_legacy_workloads_unaffected_by_topk_env():
+    # top_k=None (the default) is the plain exhaustive flood.
+    assert_golden("drive_deployment", _drive_deployment(top_k=None))
+    assert_golden("flood_32", _flood_observables(top_k=None))
+
+
+def test_legacy_workloads_unaffected_by_replication_env():
+    # rf=1 (the default) places no replicas and caches no answers.
+    single = ReplicationPolicy(rf=1)
+    assert_golden("drive_deployment", _drive_deployment(replication=single))
+    assert_golden("flood_32", _flood_observables(replication=single))
 
 
 def test_topk_flood_matches_goldens():
@@ -254,6 +375,12 @@ def test_faulted_series_identical_serial_vs_parallel():
     # and parallel runners.
     assert_golden("faulted", _faulted_observables(None))
     assert_golden("faulted", _faulted_observables(ExperimentRunner()))
+    assert_golden("faulted", _faulted_observables(ParallelExperimentRunner(jobs=2)))
+
+
+def test_faulted_series_identical_under_legacy_routing():
+    # maxcount vs static under a nonzero fault plan, serial and parallel.
+    assert_golden("faulted", _faulted_observables(None))
     assert_golden("faulted", _faulted_observables(ParallelExperimentRunner(jobs=2)))
 
 
