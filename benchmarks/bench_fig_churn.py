@@ -42,7 +42,6 @@ def test_figure_churn(benchmark):
         rounds=1,
         iterations=1,
     )
-    trials = figure_churn.last_trials
     publish(
         "churn",
         result,
@@ -52,7 +51,6 @@ def test_figure_churn(benchmark):
         extra={
             "node_count": NODE_COUNT,
             "churn_rates": list(RATES),
-            "trials": trials,
         },
     )
     if SMOKE:
@@ -74,7 +72,7 @@ def test_figure_churn(benchmark):
     for rate in RATES:
         assert rf2[rate] >= bpr[rate]
     # The fault plan really fired: crashes and restarts were applied.
-    churned = [t for t in trials if t["rate"] == top]
+    churned = [t for t in result.trials if t["rate"] == top]
     for trial in churned:
         assert trial["faults_applied"].get("node-crash", 0) >= 1
         assert trial["faults_applied"].get("liglo-down", 0) == 1

@@ -43,7 +43,6 @@ def test_figure_replication(benchmark):
         rounds=1,
         iterations=1,
     )
-    trials = figure_replication.last_trials
     publish(
         "replication",
         result,
@@ -53,7 +52,6 @@ def test_figure_replication(benchmark):
         extra={
             "node_count": NODE_COUNT,
             "churn_rates": list(RATES),
-            "trials": trials,
         },
     )
     if SMOKE:
@@ -71,7 +69,7 @@ def test_figure_replication(benchmark):
     assert cached[0.3] >= 0.95
     assert rf1[0.3] < rf2[0.3]
     assert rf1[0.3] < cached[0.3]
-    point = {(t["scheme"], t["rate"]): t for t in trials}
+    point = {(t["scheme"], t["rate"]): t for t in result.trials}
     # Holders genuinely answered for dead owners...
     assert point[("RF2", 0.3)]["replication"]["replica_answers"] > 0
     # ...and the Zipf-hot repeats genuinely hit the result cache.

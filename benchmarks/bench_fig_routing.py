@@ -39,7 +39,6 @@ def test_figure_routing(benchmark):
         rounds=1,
         iterations=1,
     )
-    trials = figure_routing.last_trials
     publish(
         "routing",
         result,
@@ -49,12 +48,11 @@ def test_figure_routing(benchmark):
         extra={
             "node_count": NODE_COUNT,
             "churn_rates": list(RATES),
-            "trials": trials,
         },
     )
     if SMOKE:
         return
-    point = {(t["strategy"], t["rate"]): t for t in trials}
+    point = {(t["strategy"], t["rate"]): t for t in result.trials}
     top = max(RATES)
     # The framework costs the classic paths nothing: the paper
     # strategies still answer in full on a healthy network.

@@ -47,7 +47,6 @@ def test_figure_scaling(benchmark):
         rounds=1,
         iterations=1,
     )
-    trials = figure_scaling.last_trials
     publish("scaling", result, elapsed=None)
     if SMOKE:
         return
@@ -56,17 +55,17 @@ def test_figure_scaling(benchmark):
         "figure",
         {
             "series": {k: list(map(list, v)) for k, v in result.series.items()},
-            "trials": trials,
+            "trials": result.trials,
             "available_cores": available_cores(),
             "wall_clock_seconds": round(elapsed, 2),
         },
     )
     # Determinism: every executor, every size, byte-for-byte.
-    assert all(trial["identical"] for trial in trials)
+    assert all(trial["identical"] for trial in result.trials)
     # The 10k-node flood point exists and projects past the bar at 4 shards.
     headline = [
         t
-        for t in trials
+        for t in result.trials
         if t["executor"] == "distributed"
         and t["node_count"] >= 10000
         and t["shards"] == 4
@@ -74,6 +73,6 @@ def test_figure_scaling(benchmark):
     assert headline, "no 10k-node distributed point in the sweep"
     assert any(t["projected_speedup"] > 1.8 for t in headline)
     # Lockstep is serial plus bookkeeping, never a different complexity.
-    for trial in trials:
+    for trial in result.trials:
         if trial["executor"] == "lockstep":
             assert trial["overhead_vs_serial"] < 2.0

@@ -47,7 +47,6 @@ def test_figure_topk(benchmark):
         rounds=1,
         iterations=1,
     )
-    trials = figure_topk.last_trials
     publish(
         "topk",
         result,
@@ -59,12 +58,11 @@ def test_figure_topk(benchmark):
             "ks": [k if k is not None else "exhaustive" for k in KS],
             "ttls": list(TTLS),
             "churn_rates": list(RATES),
-            "trials": trials,
         },
     )
     if SMOKE:
         return
-    point = {(t["k"], t["ttl"], t["rate"]): t for t in trials}
+    point = {(t["k"], t["ttl"], t["rate"]): t for t in result.trials}
     exhaustive = point[(None, 8, 0.0)]
     for k in (4, 16):
         bounded = point[(k, 8, 0.0)]

@@ -50,7 +50,8 @@ def publish(
     """Print a reproduced figure and persist it for EXPERIMENTS.md.
 
     With ``elapsed``, also write ``BENCH_<name>.json`` holding the series
-    plus wall-clock evidence (and the recorded baseline, when one exists).
+    and trial dicts plus wall-clock evidence (and the recorded baseline,
+    when one exists).
     """
     text = format_figure(result)
     print()
@@ -70,6 +71,8 @@ def publish(
         if baseline is not None:
             payload["baseline_seconds"] = baseline
             payload["speedup_vs_baseline"] = round(baseline / elapsed, 2)
+        if result.trials:
+            payload["trials"] = result.trials
         if extra:
             payload.update(extra)
         json_path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")

@@ -26,7 +26,7 @@ from repro.eval.experiment import (
     default_jobs,
 )
 from repro.eval.figures import FigureParams
-from repro.eval.report import format_figure
+from repro.eval.report import format_figure, format_trials
 
 #: figure name -> callable(params) -> FigureResult
 FIGURES: dict[str, Callable[[FigureParams], FigureResult]] = {
@@ -42,6 +42,18 @@ FIGURES: dict[str, Callable[[FigureParams], FigureResult]] = {
     "routing": routing.figure_routing,
     "topk": topk.figure_topk,
     "scaling": scaling.figure_scaling,
+}
+
+#: figure name -> (heading, columns) of the per-trial table printed after it
+TRIAL_TABLES = {
+    "churn": ("per-trial degradation detail:", churn.TRIAL_COLUMNS),
+    "replication": (
+        "per-(scheme, rate) resilience/overhead detail:",
+        replication.TRIAL_COLUMNS,
+    ),
+    "routing": ("per-strategy recall/traffic detail:", routing.TRIAL_COLUMNS),
+    "scaling": ("per-executor wall/critical-path detail:", scaling.TRIAL_COLUMNS),
+    "topk": ("per-(k, ttl, rate) traffic/quality detail:", topk.TRIAL_COLUMNS),
 }
 
 ABLATIONS: dict[str, Callable[[FigureParams], FigureResult]] = {
@@ -135,40 +147,11 @@ def _run_list() -> int:
 def _run_figure(args: argparse.Namespace) -> int:
     result = FIGURES[args.name](_params(args), runner=_runner(args))
     _emit(result, args)
-    if args.name == "churn":
-        from repro.eval.report import format_churn_trials
-
+    if args.name in TRIAL_TABLES:
+        heading, columns = TRIAL_TABLES[args.name]
         print()
-        print("per-trial degradation detail:")
-        print(format_churn_trials(churn.figure_churn.last_trials))
-    elif args.name == "routing":
-        from repro.eval.report import format_routing_trials
-
-        print()
-        print("per-strategy recall/traffic detail:")
-        print(format_routing_trials(routing.figure_routing.last_trials))
-    elif args.name == "topk":
-        from repro.eval.report import format_topk_trials
-
-        print()
-        print("per-(k, ttl, rate) traffic/quality detail:")
-        print(format_topk_trials(topk.figure_topk.last_trials))
-    elif args.name == "scaling":
-        from repro.eval.report import format_scaling_trials
-
-        print()
-        print("per-executor wall/critical-path detail:")
-        print(format_scaling_trials(scaling.figure_scaling.last_trials))
-    elif args.name == "replication":
-        from repro.eval.report import format_replication_trials
-
-        print()
-        print("per-(scheme, rate) resilience/overhead detail:")
-        print(
-            format_replication_trials(
-                replication.figure_replication.last_trials
-            )
-        )
+        print(heading)
+        print(format_trials(result.trials, columns))
     return 0
 
 

@@ -31,7 +31,8 @@ def default_jobs() -> int:
 
 @dataclass
 class FigureResult:
-    """A reproduced figure: named series of (x, y) points."""
+    """A reproduced figure: named series of (x, y) points, plus the raw
+    per-point trial dicts of figures that record more than they plot."""
 
     figure: str
     title: str
@@ -39,6 +40,7 @@ class FigureResult:
     y_label: str
     series: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     notes: str = ""
+    trials: list[dict] = field(default_factory=list)
 
     def add_point(self, name: str, x: float, y: float) -> None:
         self.series.setdefault(name, []).append((x, y))

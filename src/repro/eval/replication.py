@@ -30,14 +30,17 @@ bit-identically, serial or parallel.
 
 from __future__ import annotations
 
-from repro.core.builder import build_network
-from repro.core.config import BestPeerConfig
-from repro.eval.churn import CHURN_HORIZON, CHURN_RETRY_POLICY, QUERY_QUIET_PERIOD
+from repro.eval.churn import (
+    CHURN_HORIZON,
+    _session_churn,
+    recall_summary,
+    run_fault_trial,
+    sweep,
+)
 from repro.eval.experiment import ExperimentRunner, FigureResult
-from repro.eval.figures import FigureParams, _run_tasks
-from repro.faults import FaultPlan, SimFaultInjector
+from repro.eval.figures import FigureParams
+from repro.eval.report import format_counts, replication_stats
 from repro.replication import ReplicationPolicy
-from repro.topology.builders import random_graph
 from repro.workloads.corpus import KeywordCorpus
 from repro.workloads.queries import QueryWorkload
 
@@ -60,6 +63,17 @@ MIN_QUERIES = 16
 #: Payload bytes of every shared object.
 OBJECT_BYTES = 256
 
+#: The replication counters each trial dict carries, summed over nodes.
+REPLICATION_KEYS = (
+    "replicas_held",
+    "replica_answers",
+    "replicas_pushed",
+    "invalidations",
+    "stale_repairs",
+    "cache_hits",
+    "cache_misses",
+)
+
 
 def replication_policy_for(scheme: str) -> ReplicationPolicy:
     """The per-node policy each scheme runs under."""
@@ -76,102 +90,69 @@ def replication_trial(task: tuple[str, float, int, FigureParams]) -> dict:
     """One (scheme, churn rate) point; module-level so it pickles to the
     parallel runner's workers."""
     scheme, rate, node_count, params = task
-    config = BestPeerConfig(
-        max_direct_peers=8,
+    corpus = KeywordCorpus(node_count - 1)
+
+    def fill(deployment) -> None:
+        # One distinct object per non-base node: object i (and only it)
+        # matches keyword i, so per-query recall is a crisp 0/1.
+        for index, node in enumerate(deployment.nodes[1:], 1):
+            node.share_many(
+                [([corpus.keyword(index - 1)], index.to_bytes(4, "big") * (OBJECT_BYTES // 4))]
+            )
+        deployment.sim.run()  # replica offer/accept/push handshakes settle
+
+    keywords = QueryWorkload(corpus, skew=QUERY_SKEW, seed=params.seed).keywords(
+        max(MIN_QUERIES, params.queries)
+    )
+    deployment, handles, traffic, observables = run_fault_trial(
+        params,
+        node_count,
+        fill,
+        # Sessions only — no LIGLO outage, no partition: owner death is
+        # the failure mode replicas answer for.
+        lambda names: _session_churn(names, rate, params.seed),
+        keywords,
         ttl=max(7, node_count),
         strategy="maxcount",
-        retry_policy=CHURN_RETRY_POLICY,
-        suspect_after=2,
-        retry_seed=params.seed,
-        agent_costs=params.costs,
         replication=replication_policy_for(scheme),
     )
-    topology = random_graph(node_count, degree=3, seed=params.seed)
-    deployment = build_network(node_count, config=config, topology=topology)
-    # One distinct object per non-base node: object i (and only it)
-    # matches keyword i, so per-query recall is a crisp 0/1.
-    corpus = KeywordCorpus(node_count - 1)
-    for index, node in enumerate(deployment.nodes[1:], 1):
-        node.share_many(
-            [([corpus.keyword(index - 1)], index.to_bytes(4, "big") * (OBJECT_BYTES // 4))]
-        )
-    deployment.sim.run()  # replica offer/accept/push handshakes settle
-    query_count = max(MIN_QUERIES, params.queries)
-    keywords = QueryWorkload(corpus, skew=QUERY_SKEW, seed=params.seed).keywords(
-        query_count
-    )
-    # Sessions only — no LIGLO outage, no partition: owner death is the
-    # failure mode replicas answer for.
-    churnable = [node.name for node in deployment.nodes[1:]]  # base never churns
-    plan = FaultPlan.churn(
-        churnable,
-        rate,
-        CHURN_HORIZON,
-        seed=params.seed,
-        min_downtime=2.0,
-        max_downtime=8.0,
-    )
-    injector = SimFaultInjector(deployment, plan, tracer=deployment.tracer)
-    injector.arm()
-    base = deployment.base
-    handles: list = []
-    setup = {"packets": 0, "bytes": 0}
-
-    def mark_setup_done() -> None:
-        setup["packets"] = deployment.network.packets_delivered
-        setup["bytes"] = deployment.network.bytes_carried
-
-    def issue(keyword: str) -> None:
-        handles.append(
-            base.issue_query(keyword, auto_finish_after=QUERY_QUIET_PERIOD)
-        )
-
-    step = CHURN_HORIZON / query_count
-    deployment.sim.schedule(1.9, mark_setup_done)
-    for q, keyword in enumerate(keywords):
-        deployment.sim.schedule(2.0 + q * step, issue, keyword)
-    deployment.sim.run()
-    queries = max(len(handles), 1)
-    query_packets = deployment.network.packets_delivered - setup["packets"]
-    query_bytes = deployment.network.bytes_carried - setup["bytes"]
     # Binary recall with replica dedup: any one copy answering counts
     # exactly once; extra copies never inflate the score.
     recalls = [
         1 if handle.distinct_answer_count >= 1 else 0 for handle in handles
     ]
-    stats_keys = (
-        "replicas_held",
-        "replica_answers",
-        "replicas_pushed",
-        "invalidations",
-        "stale_repairs",
-        "cache_hits",
-        "cache_misses",
-    )
-    replication_stats = {key: 0 for key in stats_keys}
-    for node in deployment.nodes:
-        node_stats = node.replication.statistics()
-        for key in stats_keys:
-            replication_stats[key] += node_stats[key]
+    totals = replication_stats(deployment.nodes)
     return {
         "scheme": scheme,
         "rate": rate,
-        "recalls": recalls,
-        "mean_recall": round(sum(recalls) / queries, 6),
-        "queries": queries,
+        **recall_summary(recalls),
+        "queries": max(len(handles), 1),
         "cached_queries": sum(1 for handle in handles if handle.served_from_cache),
-        "messages_per_query": round(query_packets / queries, 3),
-        "bytes_per_query": round(query_bytes / queries, 1),
-        "setup_packets": setup["packets"],
-        "setup_bytes": setup["bytes"],
-        "packets_delivered": deployment.network.packets_delivered,
-        "bytes_carried": deployment.network.bytes_carried,
-        "packets_dropped": deployment.network.packets_dropped,
-        "drops_by_reason": dict(sorted(deployment.network.drops_by_reason.items())),
-        "degraded_queries": sum(1 for handle in handles if handle.degraded),
-        "faults_applied": dict(sorted(injector.applied.items())),
-        "replication": replication_stats,
+        **traffic,
+        **observables,
+        "replication": {key: totals[key] for key in REPLICATION_KEYS},
     }
+
+
+def _cache_cell(trial: dict) -> str:
+    rep = trial["replication"]
+    return f"{rep['cache_hits']}/{rep['cache_hits'] + rep['cache_misses']}"
+
+
+#: (header, trial key or cell function) columns of the per-trial table:
+#: recall next to bytes per query, replica answers (queries a holder
+#: saved after the owner died), cache hits, and the faults applied.
+TRIAL_COLUMNS = (
+    ("scheme", "scheme"),
+    ("rate", "rate"),
+    ("recall", "mean_recall"),
+    ("bytes/query", "bytes_per_query"),
+    ("replicas", lambda trial: trial["replication"]["replicas_held"]),
+    ("replica answers", lambda trial: trial["replication"]["replica_answers"]),
+    ("cache hits", _cache_cell),
+    ("repairs", lambda trial: trial["replication"]["stale_repairs"]),
+    ("faults", lambda trial: format_counts(trial["faults_applied"])),
+)
 
 
 def figure_replication(
@@ -184,20 +165,8 @@ def figure_replication(
     """Mean recall vs churn rate, one series per replication scheme.
 
     The plotted series carry recall; bytes/messages per query, cache
-    hit counts, repair counts, and fault counts are attached as
-    ``figure_replication.last_trials`` after each call, exactly like
-    the churn and top-k figures do.
+    hit counts, repair counts, and fault counts are on ``result.trials``.
     """
-    if node_count < 3:
-        raise ValueError(
-            f"replication experiment needs >= 3 nodes, got {node_count}"
-        )
-    tasks = [
-        (scheme, rate, node_count, params)
-        for scheme in schemes
-        for rate in churn_rates
-    ]
-    trials = _run_tasks(runner, replication_trial, tasks)
     result = FigureResult(
         figure="replication",
         title=(
@@ -212,7 +181,12 @@ def figure_replication(
             "dedup; bytes per query in trial details"
         ),
     )
-    for trial in trials:
-        result.add_point(trial["scheme"], trial["rate"], trial["mean_recall"])
-    figure_replication.last_trials = trials  # type: ignore[attr-defined]
-    return result
+    return sweep(
+        result,
+        replication_trial,
+        (schemes, churn_rates),
+        node_count,
+        (params,),
+        lambda trial: (trial["scheme"], trial["rate"], trial["mean_recall"]),
+        runner,
+    )

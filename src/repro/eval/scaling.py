@@ -216,6 +216,33 @@ def _distributed_trial(node_count: int, queries: int, seed: int, shards: int, re
     }
 
 
+def _detail_cell(trial: dict) -> str:
+    if trial["executor"] == "serial":
+        return f"cpu={trial['cpu_seconds']}s"
+    if trial["executor"] == "lockstep":
+        return f"overhead={trial['overhead_vs_serial']}x"
+    return (
+        f"critical={trial['critical_path_seconds']}s "
+        f"proj={trial['projected_speedup']}x "
+        f"meas={trial['measured_speedup']}x"
+    )
+
+
+#: (header, trial key or cell function) columns of the per-trial table:
+#: the evidence behind each speedup number — wall and CPU (or
+#: critical-path) seconds, barrier traffic, and the determinism check
+#: against the serial reference run.
+TRIAL_COLUMNS = (
+    ("executor", "executor"),
+    ("nodes", "node_count"),
+    ("shards", "shards"),
+    ("wall s", "wall_seconds"),
+    ("barrier", lambda trial: trial.get("barrier_messages", "-")),
+    ("identical", lambda trial: "yes" if trial["identical"] else "NO"),
+    ("detail", _detail_cell),
+)
+
+
 def figure_scaling(
     params: FigureParams | None = None,
     node_counts: tuple[int, ...] = DEFAULT_STRONG_NODES,
@@ -230,8 +257,8 @@ def figure_scaling(
     With ``weak_base``, a weak-scaling series grows the problem with the
     shard count (``weak_base`` nodes per shard) and plots projected
     speedup.  ``runner`` is accepted for CLI uniformity and ignored —
-    the executors under test own all parallelism.  Trial details land in
-    ``figure_scaling.last_trials``.
+    the executors under test own all parallelism.  Trial details land on
+    ``result.trials``.
     """
     del runner  # the executors under test manage their own processes
     params = params if params is not None else FigureParams()
@@ -295,7 +322,7 @@ def figure_scaling(
             )
     for trial in trials:
         trial.pop("_observables", None)
-    figure_scaling.last_trials = trials  # type: ignore[attr-defined]
+    result.trials = trials
     return result
 
 

@@ -352,7 +352,6 @@ def _faulted_observables(runner) -> tuple:
     result = figure_churn(
         params, node_count=8, churn_rates=(0.5,), runner=runner
     )
-    trials = figure_churn.last_trials
     return (
         result.series,
         [
@@ -365,7 +364,7 @@ def _faulted_observables(runner) -> tuple:
                 tuple(sorted(t["drops_by_reason"].items())),
                 tuple(sorted(t["faults_applied"].items())),
             )
-            for t in trials
+            for t in result.trials
         ],
     )
 
@@ -398,7 +397,6 @@ def _routing_observables(runner) -> tuple:
         strategies=("history", "superpeer", "costaware"),
         runner=runner,
     )
-    trials = figure_routing.last_trials
     return (
         result.series,
         [
@@ -417,7 +415,7 @@ def _routing_observables(runner) -> tuple:
                 t["hint_hits"],
                 t["hint_fallbacks"],
             )
-            for t in trials
+            for t in result.trials
         ],
     )
 
@@ -447,7 +445,6 @@ def _topk_figure_observables(runner) -> tuple:
         churn_rates=(0.3,),
         runner=runner,
     )
-    trials = figure_topk.last_trials
     return (
         result.series,
         [
@@ -468,7 +465,7 @@ def _topk_figure_observables(runner) -> tuple:
                 tuple(sorted(t["drops_by_reason"].items())),
                 tuple(sorted(t["faults_applied"].items())),
             )
-            for t in trials
+            for t in result.trials
         ],
     )
 
@@ -497,7 +494,6 @@ def _replication_figure_observables(runner) -> tuple:
         churn_rates=(0.0, 0.3),
         runner=runner,
     )
-    trials = figure_replication.last_trials
     return (
         result.series,
         [
@@ -517,7 +513,7 @@ def _replication_figure_observables(runner) -> tuple:
                 tuple(sorted(t["faults_applied"].items())),
                 tuple(sorted(t["replication"].items())),
             )
-            for t in trials
+            for t in result.trials
         ],
     )
 

@@ -8,6 +8,8 @@ matches the paper's qualitative claims.  Full-scale runs live in
 import pytest
 
 from repro.agents.costs import AgentCosts
+from repro.errors import ExperimentError
+from repro.eval.churn import figure_churn
 from repro.eval.figures import (
     FigureParams,
     figure_5a,
@@ -18,6 +20,9 @@ from repro.eval.figures import (
     figures_6_and_7,
     tree_size_for_level,
 )
+from repro.eval.replication import figure_replication
+from repro.eval.routing import figure_routing
+from repro.eval.topk import figure_topk
 
 SMALL = FigureParams(objects_per_node=60, corpus_size=10, queries=3)
 
@@ -158,3 +163,11 @@ class TestParams:
             FigureParams(objects_per_node=-1)
         with pytest.raises(Exception):
             FigureParams(queries=0)
+
+
+@pytest.mark.parametrize(
+    "figure", [figure_churn, figure_routing, figure_topk, figure_replication]
+)
+def test_fault_plan_figures_need_three_nodes(figure):
+    with pytest.raises(ExperimentError, match="needs >= 3 nodes, got 2"):
+        figure(FigureParams(objects_per_node=0, queries=1), node_count=2)

@@ -42,7 +42,7 @@ def _observables(trials):
 @pytest.fixture(scope="module")
 def baseline():
     result = figure_churn(PARAMS, node_count=NODE_COUNT, churn_rates=RATES)
-    return result.series, _observables(figure_churn.last_trials)
+    return result.series, _observables(result.trials)
 
 
 class TestSeededReplay:
@@ -50,7 +50,7 @@ class TestSeededReplay:
         series, observables = baseline
         again = figure_churn(PARAMS, node_count=NODE_COUNT, churn_rates=RATES)
         assert again.series == series
-        assert _observables(figure_churn.last_trials) == observables
+        assert _observables(again.trials) == observables
 
     def test_serial_runner_matches(self, baseline):
         series, observables = baseline
@@ -61,7 +61,7 @@ class TestSeededReplay:
             runner=ExperimentRunner(),
         )
         assert result.series == series
-        assert _observables(figure_churn.last_trials) == observables
+        assert _observables(result.trials) == observables
 
     def test_parallel_runner_matches(self, baseline):
         series, observables = baseline
@@ -72,16 +72,16 @@ class TestSeededReplay:
             runner=ParallelExperimentRunner(jobs=2),
         )
         assert result.series == series
-        assert _observables(figure_churn.last_trials) == observables
+        assert _observables(result.trials) == observables
 
     def test_different_seed_changes_fault_timeline(self, baseline):
         _series, observables = baseline
-        figure_churn(
+        result = figure_churn(
             FigureParams(objects_per_node=0, queries=2, seed=1),
             node_count=NODE_COUNT,
             churn_rates=RATES,
         )
-        assert _observables(figure_churn.last_trials) != observables
+        assert _observables(result.trials) != observables
 
 
 class TestShape:
