@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 from typing import Callable, Sequence
 
-from repro.eval import ablations, churn, figures, replication, routing, scaling, topk
+from repro.eval import ablations, churn, figures, replication, routing, topk
 from repro.eval.experiment import (
     ExperimentRunner,
     FigureResult,
@@ -41,7 +41,6 @@ FIGURES: dict[str, Callable[[FigureParams], FigureResult]] = {
     "replication": replication.figure_replication,
     "routing": routing.figure_routing,
     "topk": topk.figure_topk,
-    "scaling": scaling.figure_scaling,
 }
 
 #: figure name -> (heading, columns) of the per-trial table printed after it
@@ -52,7 +51,6 @@ TRIAL_TABLES = {
         replication.TRIAL_COLUMNS,
     ),
     "routing": ("per-strategy recall/traffic detail:", routing.TRIAL_COLUMNS),
-    "scaling": ("per-executor wall/critical-path detail:", scaling.TRIAL_COLUMNS),
     "topk": ("per-(k, ttl, rate) traffic/quality detail:", topk.TRIAL_COLUMNS),
 }
 

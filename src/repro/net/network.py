@@ -369,11 +369,6 @@ class Network:
         if self._crosses_partition(packet.src, packet.dst):
             self._drop(packet, reason="partition")
             return
-        self._schedule_delivery(packet, link)
-
-    def _schedule_delivery(self, packet: Packet, link: LinkModel) -> None:
-        """Queue the post-propagation delivery (the sharded fabric's
-        override routes cross-shard packets through the epoch barrier)."""
         self.sim.schedule(link.latency, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:

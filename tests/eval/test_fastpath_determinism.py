@@ -3,8 +3,8 @@
 Every observable output — figure series, bytes on the wire, packet
 counts, answer hop counts, fault and replication counters — is pinned
 by a recorded golden under ``tests/eval/goldens/``.  Each case below
-drives one workload under one runner, cache or shard setting and
-compares it against that golden, so a fast path that drifts fails here
+drives one workload under one runner or cache setting and compares
+it against that golden, so a fast path that drifts fails here
 instead of silently changing a figure.  Intentional changes regenerate
 the goldens with ``REPRO_REWRITE_VECTORS=1`` and say so in CHANGES.md.
 """
@@ -530,70 +530,3 @@ def test_replication_figure_self_identical_serial_vs_parallel():
         "replication_figure",
         _replication_figure_observables(ParallelExperimentRunner(jobs=2)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Sharded kernel: REPRO_SHARDS must be invisible at any shard count
-# ---------------------------------------------------------------------------
-
-
-SHARDS_ENV_VAR = "REPRO_SHARDS"
-SHARD_MODE_ENV_VAR = "REPRO_SHARD_MODE"
-
-
-def test_shards_off_and_one_bitidentical_to_serial(monkeypatch):
-    # "off" (and "1") are the serial kernel with zero sharding overlay:
-    # the env read happens in build_network, so the entire workload —
-    # bytes, hops, packet totals — must be untouched.
-    for shards in ("off", "1"):
-        monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-        assert_golden("drive_deployment", _drive_deployment())
-        assert_golden("flood_32", _flood_observables())
-
-
-def test_wire_bytes_and_hops_identical_sharded_vs_serial(monkeypatch):
-    for shards in ("2", "4"):
-        monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-        assert_golden("drive_deployment", _drive_deployment())
-
-
-def test_32_node_flood_identical_sharded_vs_serial(monkeypatch):
-    for shards in ("2", "4"):
-        for mode in ("hash", "locality"):
-            monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-            monkeypatch.setenv(SHARD_MODE_ENV_VAR, mode)
-            assert_golden("flood_32", _flood_observables())
-
-
-def test_series_identical_under_sharded_kernel(monkeypatch):
-    # Figures 5a and 8a: reconfiguration, StorM scans, agent shipping —
-    # the full stack rides the lockstep sharded executor bit-exactly.
-    for shards in ("2", "4"):
-        monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-        assert_golden("figures_tiny", _run_figures())
-
-
-def test_faulted_series_identical_under_sharded_kernel(monkeypatch):
-    # Churn with live fault injection: crashes, outages, partitions and
-    # latency changes fire mid-window, and the global-clock broadcast
-    # keeps every shard anchored at serial time.
-    for shards in ("2", "4"):
-        monkeypatch.setenv(SHARDS_ENV_VAR, shards)
-        assert_golden("faulted", _faulted_observables(None))
-
-
-def test_1k_node_flood_identical_sharded_vs_serial(monkeypatch):
-    # The acceptance workload at figure scale: a 1000-node random-graph
-    # flood with per-edge latency jitter, per-host bytes compared.
-    from repro.eval.scaling import _flood_deployment, _observables
-
-    def flood(shards=None):
-        deployment = _flood_deployment(1000, seed=0, shards=shards)
-        deployment.base.issue_query("needle")
-        deployment.sim.run()
-        return _observables(deployment.network)
-
-    monkeypatch.delenv(SHARDS_ENV_VAR, raising=False)
-    serial = flood()
-    for shards in (2, 4):
-        assert flood(shards=shards) == serial

@@ -4,6 +4,8 @@ on both the control and the data plane."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.agents.messages import BatchedAnswers, _sample_answer
@@ -14,7 +16,7 @@ from repro.net import datacodec
 from repro.net.codec import CODEC_COMPACT, CODEC_PICKLE, encode_message
 from repro.net.datacodec import CODEC_STREAM
 from repro.net.faults import FrameFaultInjector
-from repro.net.message import PACKET_OVERHEAD_BYTES, Packet
+from repro.net.message import PACKET_OVERHEAD_BYTES, Packet, _UNDECODED
 from repro.net.network import Network
 from repro.sim import Simulator
 from repro.util.compression import DEFAULT_CODEC
@@ -69,6 +71,14 @@ def test_lazy_decode_happens_once_and_is_cached():
     _network, packet, _size = _deliver_one(Ping(token=1))
     first = packet.payload
     assert packet.payload is first  # second access returns the memo
+
+
+def test_decode_cache_does_not_travel():
+    _network, packet, _size = _deliver_one(Ping(token=1))
+    assert packet.payload == Ping(token=1)  # decode, populating the cache
+    clone = pickle.loads(pickle.dumps(packet))
+    assert clone._decoded is _UNDECODED
+    assert clone.payload == Ping(token=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""The environment surface of ``repro`` is exactly three variables.
+"""The environment surface of ``repro`` is exactly one variable.
 
 Every ``REPRO_*`` name the package reads from the environment is a
-global knob a user sets on purpose: worker processes for sweeps and the
-sharded kernel.  A per-call bypass that keeps a second code path alive
+global knob a user sets on purpose; the only one is the worker-process
+count for sweeps.  A per-call bypass that keeps a second code path alive
 belongs in the recorded goldens (``tests/eval/goldens/``), not in
 ``os.environ`` — this test fails the moment one creeps back in.
 """
@@ -16,7 +16,7 @@ import repro
 
 PACKAGE_DIR = Path(repro.__file__).parent
 
-EXPECTED = {"REPRO_JOBS", "REPRO_SHARDS", "REPRO_SHARD_MODE"}
+EXPECTED = {"REPRO_JOBS"}
 
 
 def _is_environ(node: ast.AST) -> bool:
@@ -80,16 +80,12 @@ def environment_reads() -> dict[str, list[str]]:
     return reads
 
 
-def test_package_reads_exactly_the_three_global_knobs():
+def test_package_reads_exactly_the_one_global_knob():
     reads = environment_reads()
     assert set(reads) == EXPECTED, reads
 
 
 def test_scanner_sees_every_known_read():
-    # Guard the guard: each knob is found where it is actually read.
+    # Guard the guard: the knob is found where it is actually read.
     reads = environment_reads()
     assert reads["REPRO_JOBS"] == ["repro/eval/experiment.py"]
-    assert sorted(reads["REPRO_SHARDS"] + reads["REPRO_SHARD_MODE"]) == [
-        "repro/core/builder.py",
-        "repro/core/builder.py",
-    ]
