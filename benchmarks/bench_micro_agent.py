@@ -27,11 +27,10 @@ written to ``BENCH_agent.json`` with per-op profiler evidence
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
-from benchmarks.support import RESULTS_DIR
+from benchmarks.support import write_bench
 from repro.agents import codeship
 from repro.agents.codeship import AgentCodeRegistry
 from repro.agents.engine import PROTO_ANSWER, AgentEngine
@@ -227,10 +226,7 @@ def test_agent_path_flood_caches():
         "profile_uncached": uncached_evidence,
     }
     if not SMOKE:
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        with open(os.path.join(RESULTS_DIR, "BENCH_agent.json"), "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_bench("agent", payload)
     print(
         f"\nagent path: cached {cached_seconds:.4f}s vs uncached "
         f"{uncached_seconds:.4f}s ({path_speedup:.1f}x); full sim: "

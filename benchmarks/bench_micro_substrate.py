@@ -12,11 +12,10 @@ speedup claims are auditable from the artifact alone.
 ``REPRO_BENCH_SCALE=smoke`` shrinks the workloads for CI smoke runs.
 """
 
-import json
 import os
 import time
 
-from benchmarks.support import RESULTS_DIR
+from benchmarks.support import merge_section
 from repro.sim import Simulator
 from repro.storm import StorM
 from repro.storm.btree import BPlusTree
@@ -32,32 +31,17 @@ INGEST_OBJECTS = 100 if SMOKE else 1000
 #: population repetitions per timing (averages out allocator noise)
 INGEST_ROUNDS = 2 if SMOKE else 10
 
-BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_storm.json")
 
 
 def _write_section(section: str, payload: dict) -> None:
-    """Read-modify-write one section of ``BENCH_storm.json``.
+    """Persist one section of ``BENCH_storm.json``.
 
     Smoke runs don't persist: their workloads are too small to support
     the recorded speedup claims, and they must not clobber the
     paper-scale artifact.
     """
-    if SMOKE:
-        return
-    document = {"name": "storm"}
-    if os.path.exists(BENCH_PATH):
-        try:
-            with open(BENCH_PATH) as handle:
-                existing = json.load(handle)
-            if isinstance(existing, dict) and existing.get("name") == "storm":
-                document = existing
-        except (OSError, json.JSONDecodeError):
-            pass
-    document[section] = payload
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    if not SMOKE:
+        merge_section("storm", section, payload)
 
 
 def test_storm_put_throughput(benchmark):

@@ -25,12 +25,11 @@ workloads) nor overwrites the persisted artifact.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
 
-from benchmarks.support import RESULTS_DIR
+from benchmarks.support import merge_section
 from repro.net import datacodec
 from repro.net.codec import (
     decode_message,
@@ -53,33 +52,16 @@ CONTROL_ROUNDS = 20 if SMOKE else 400
 #: data-plane messages per codec timing round
 DATA_ROUNDS = 5 if SMOKE else 150
 
-BENCH_PATH = os.path.join(RESULTS_DIR, "BENCH_wire.json")
 
 
 def _write_section(section: str, payload: dict) -> None:
-    """Read-modify-write one section of ``BENCH_wire.json``.
+    """Persist one section of ``BENCH_wire.json``.
 
     Smoke runs never touch the artifact: the persisted numbers are the
     full-scale evidence cited by docs/PERFORMANCE.md.
     """
-    if SMOKE:
-        return
-    document = {"name": "wire"}
-    if os.path.exists(BENCH_PATH):
-        try:
-            with open(BENCH_PATH) as handle:
-                existing = json.load(handle)
-            if isinstance(existing, dict) and isinstance(
-                existing.get("fan_out"), dict
-            ):
-                document = existing
-        except (OSError, json.JSONDecodeError):
-            pass
-    document[section] = payload
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    if not SMOKE:
+        merge_section("wire", section, payload)
 
 
 # ---------------------------------------------------------------------------
